@@ -6,6 +6,7 @@
 #include <benchmark/benchmark.h>
 
 #include <cstdlib>
+#include <string>
 #include <vector>
 
 #include "attack/fdi_attack.hpp"
@@ -16,6 +17,7 @@
 #include "grid/compose.hpp"
 #include "grid/measurement.hpp"
 #include "grid/power_flow.hpp"
+#include "io/case_registry.hpp"
 #include "linalg/subspace.hpp"
 #include "linalg/svd.hpp"
 #include "mtd/spa.hpp"
@@ -106,31 +108,14 @@ void BM_WlsEstimate(benchmark::State& state) {
 }
 BENCHMARK(BM_WlsEstimate);
 
-// Dense vs sparse storage policy on the full state-estimation path
-// (estimator construction = Gram + factorization, then one estimate),
-// the work the daily engine redoes at every re-key. range(0): 0 =
-// case118, 1 = case300, 2 = the composed case118x3 tile (the same
-// artifact shape CI's composed-case gate audits). The CI perf gate
-// asserts the sparse case300 variant beats the dense one by >= 3x.
-grid::PowerSystem se_system_for(int id) {
-  switch (id) {
-    case 0: return grid::make_case118();
-    case 1: return grid::make_case300();
-    default: {
-      grid::ComposeOptions opt;
-      opt.copies = 3;
-      return grid::compose_cases(grid::make_case118(), opt).system;
-    }
-  }
-}
-
-const char* se_system_name(int id) {
-  return id == 0 ? "case118" : id == 1 ? "case300" : "case118x3";
-}
-
-void BM_SparseVsDenseStateEstimationDense(benchmark::State& state) {
-  const grid::PowerSystem sys =
-      se_system_for(static_cast<int>(state.range(0)));
+// The full state-estimation path — dense H compressed to CSR, weighted
+// Gram assembled and factored, one estimate — the work the daily engine
+// and every `mtd::evaluate_effectiveness` call redo at each re-key.
+// Arguments name the registry grid: case118, case300, and the composed
+// case118x3 tile (the same artifact shape CI's composed-case gate
+// audits).
+void BM_StateEstimation(benchmark::State& state, const std::string& name) {
+  const grid::PowerSystem sys = io::load_case(name);
   const linalg::Matrix h = grid::measurement_matrix(sys);
   stats::Rng rng(5);
   linalg::Vector z(h.rows());
@@ -139,27 +124,12 @@ void BM_SparseVsDenseStateEstimationDense(benchmark::State& state) {
     const estimation::StateEstimator est(h, 1.0);
     benchmark::DoNotOptimize(est.estimate(z));
   }
-  state.SetLabel(se_system_name(static_cast<int>(state.range(0))));
 }
-BENCHMARK(BM_SparseVsDenseStateEstimationDense)
-    ->DenseRange(0, 2)
+BENCHMARK_CAPTURE(BM_StateEstimation, case118, std::string("case118"))
     ->Unit(benchmark::kMillisecond);
-
-void BM_SparseVsDenseStateEstimationSparse(benchmark::State& state) {
-  const grid::PowerSystem sys =
-      se_system_for(static_cast<int>(state.range(0)));
-  const linalg::SparseMatrix h = grid::sparse_measurement_matrix(sys);
-  stats::Rng rng(5);
-  linalg::Vector z(h.rows());
-  for (std::size_t i = 0; i < z.size(); ++i) z[i] = rng.gaussian(0.0, 10.0);
-  for (auto _ : state) {
-    const estimation::StateEstimator est(h, 1.0);
-    benchmark::DoNotOptimize(est.estimate(z));
-  }
-  state.SetLabel(se_system_name(static_cast<int>(state.range(0))));
-}
-BENCHMARK(BM_SparseVsDenseStateEstimationSparse)
-    ->DenseRange(0, 2)
+BENCHMARK_CAPTURE(BM_StateEstimation, case300, std::string("case300"))
+    ->Unit(benchmark::kMillisecond);
+BENCHMARK_CAPTURE(BM_StateEstimation, case118x3, std::string("case118x3"))
     ->Unit(benchmark::kMillisecond);
 
 void BM_ResidualNorm(benchmark::State& state) {

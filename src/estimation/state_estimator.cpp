@@ -4,115 +4,63 @@
 #include <cmath>
 #include <stdexcept>
 
-#include "linalg/least_squares.hpp"
-
 namespace mtdgrid::estimation {
 
-StateEstimator::StateEstimator(linalg::Matrix h, double sigma)
-    : h_(std::move(h)), sigmas_(h_.rows(), sigma) {
-  if (sigma <= 0.0)
-    throw std::invalid_argument("state estimator: sigma must be positive");
-  initialize();
-}
+namespace {
 
-StateEstimator::StateEstimator(linalg::Matrix h, linalg::Vector sigmas)
-    : h_(std::move(h)), sigmas_(std::move(sigmas)) {
-  if (sigmas_.size() != h_.rows())
+// Validates the model and returns the WLS weights 1 / sigma_i^2.
+linalg::Vector checked_weights(const linalg::SparseMatrix& h,
+                               const linalg::Vector& sigmas) {
+  if (sigmas.size() != h.rows())
     throw std::invalid_argument("state estimator: sigma vector length");
-  validate_sigmas();
-  initialize();
-}
-
-StateEstimator::StateEstimator(linalg::SparseMatrix h, double sigma,
-                               const linalg::SolverOptions& options)
-    : storage_(linalg::StoragePolicy::kSparse),
-      sparse_h_(std::make_unique<linalg::SparseMatrix>(std::move(h))),
-      sigmas_(sparse_h_->rows(), sigma) {
-  if (sigma <= 0.0)
-    throw std::invalid_argument("state estimator: sigma must be positive");
-  initialize_sparse(options);
-}
-
-StateEstimator::StateEstimator(linalg::SparseMatrix h, linalg::Vector sigmas,
-                               const linalg::SolverOptions& options)
-    : storage_(linalg::StoragePolicy::kSparse),
-      sparse_h_(std::make_unique<linalg::SparseMatrix>(std::move(h))),
-      sigmas_(std::move(sigmas)) {
-  if (sigmas_.size() != sparse_h_->rows())
-    throw std::invalid_argument("state estimator: sigma vector length");
-  validate_sigmas();
-  initialize_sparse(options);
-}
-
-StateEstimator::StateEstimator(const StateEstimator& other)
-    : storage_(other.storage_),
-      h_(other.h_),
-      solver_options_(other.solver_options_),
-      num_measurements_(other.num_measurements_),
-      state_dimension_(other.state_dimension_),
-      sigmas_(other.sigmas_),
-      weights_(other.weights_),
-      residual_op_(other.residual_op_) {
-  if (other.sparse_h_) {
-    sparse_h_ = std::make_unique<linalg::SparseMatrix>(*other.sparse_h_);
-    solver_.emplace(linalg::LinearOperator(*sparse_h_), weights_,
-                    solver_options_);
-  }
-}
-
-StateEstimator& StateEstimator::operator=(const StateEstimator& other) {
-  if (this != &other) *this = StateEstimator(other);
-  return *this;
-}
-
-void StateEstimator::validate_sigmas() const {
-  for (double s : sigmas_)
+  for (double s : sigmas)
     if (s <= 0.0)
       throw std::invalid_argument("state estimator: sigma must be positive");
-}
-
-void StateEstimator::initialize() {
-  if (h_.rows() <= h_.cols())
+  if (h.rows() <= h.cols())
     throw std::invalid_argument(
         "state estimator: needs more measurements than states");
-  num_measurements_ = h_.rows();
-  state_dimension_ = h_.cols();
-  weights_ = linalg::Vector(h_.rows());
-  for (std::size_t i = 0; i < h_.rows(); ++i)
-    weights_[i] = 1.0 / (sigmas_[i] * sigmas_[i]);
-  const linalg::Matrix k = linalg::weighted_hat_matrix(h_, weights_);
-  residual_op_ = linalg::Matrix::identity(h_.rows()) - k;
+  linalg::Vector weights(h.rows());
+  for (std::size_t i = 0; i < h.rows(); ++i)
+    weights[i] = 1.0 / (sigmas[i] * sigmas[i]);
+  return weights;
 }
 
-void StateEstimator::initialize_sparse(const linalg::SolverOptions& options) {
-  if (sparse_h_->rows() <= sparse_h_->cols())
-    throw std::invalid_argument(
-        "state estimator: needs more measurements than states");
-  num_measurements_ = sparse_h_->rows();
-  state_dimension_ = sparse_h_->cols();
-  solver_options_ = options;
-  weights_ = linalg::Vector(sparse_h_->rows());
-  for (std::size_t i = 0; i < sparse_h_->rows(); ++i)
-    weights_[i] = 1.0 / (sigmas_[i] * sigmas_[i]);
-  solver_.emplace(linalg::LinearOperator(*sparse_h_), weights_,
-                  solver_options_);
-  if (solver_->failed())
+linalg::SparseCholesky factor_gram(const linalg::SparseMatrix& h,
+                                   const linalg::Vector& weights) {
+  linalg::SparseCholesky gram(h.weighted_gram(weights));
+  if (gram.failed())
     throw std::runtime_error(
         "state estimator: measurement matrix is rank deficient");
+  return gram;
 }
 
+}  // namespace
+
+StateEstimator::StateEstimator(const linalg::Matrix& h, double sigma)
+    : StateEstimator(linalg::SparseMatrix::from_dense(h), sigma) {}
+
+StateEstimator::StateEstimator(const linalg::Matrix& h, linalg::Vector sigmas)
+    : StateEstimator(linalg::SparseMatrix::from_dense(h), std::move(sigmas)) {}
+
+StateEstimator::StateEstimator(linalg::SparseMatrix h, double sigma)
+    : h_(std::move(h)),
+      sigmas_(h_.rows(), sigma),
+      weights_(checked_weights(h_, sigmas_)),
+      gram_(factor_gram(h_, weights_)) {}
+
+StateEstimator::StateEstimator(linalg::SparseMatrix h, linalg::Vector sigmas)
+    : h_(std::move(h)),
+      sigmas_(std::move(sigmas)),
+      weights_(checked_weights(h_, sigmas_)),
+      gram_(factor_gram(h_, weights_)) {}
+
 linalg::Vector StateEstimator::estimate(const linalg::Vector& z) const {
-  assert(z.size() == num_measurements_);
-  if (storage_ == linalg::StoragePolicy::kDense)
-    return linalg::solve_weighted_least_squares(h_, weights_, z);
-  return solver_->solve_least_squares(z);
+  assert(z.size() == num_measurements());
+  return gram_.solve(h_.transpose_times(weights_.hadamard(z)));
 }
 
 linalg::Vector StateEstimator::residual(const linalg::Vector& z) const {
-  assert(z.size() == num_measurements_);
-  if (storage_ == linalg::StoragePolicy::kDense) return residual_op_ * z;
-  // Sparse policy: never materialize the M x M residual operator.
-  return z - (*sparse_h_) * estimate(z);
+  return z - h_ * estimate(z);
 }
 
 double StateEstimator::normalized_residual_norm(

@@ -1,10 +1,7 @@
 #pragma once
 
-#include <memory>
-#include <optional>
-
-#include "linalg/backend.hpp"
 #include "linalg/matrix.hpp"
+#include "linalg/sparse_cholesky.hpp"
 #include "linalg/sparse_matrix.hpp"
 #include "linalg/vector.hpp"
 
@@ -16,63 +13,35 @@ namespace mtdgrid::estimation {
 ///
 /// with W = diag(1/sigma_i^2).
 ///
-/// Storage policy (linalg/backend.hpp): the estimator accepts H either
-/// dense or sparse and routes all solves through the policy backend.
-///
-///  * Dense (the default and the bit-exact reference): the residual
-///    operator (I - K) with K = H (H^T W H)^{-1} H^T W is precomputed at
-///    construction so Monte-Carlo detection studies can evaluate
-///    thousands of residuals cheaply; estimates re-solve the historical
-///    dense normal equations. Behavior is bit-identical to the
-///    pre-backend estimator.
-///  * Sparse: the Gram matrix is assembled in CSR and factored once
-///    (minimum-degree sparse Cholesky, or preconditioned CG via
-///    `SolverOptions`); the dense M x M residual operator is never
-///    materialized — residuals are computed as z - H theta_hat. Results
-///    match the dense path to ~1e-12 relative (validated to 1e-10 by the
-///    backend-conformance suite).
+/// One representation and one code path for every H: the measurement
+/// matrix is held in CSR (a dense `Matrix` is compressed with
+/// `SparseMatrix::from_dense`, so dense and CSR input give bit-identical
+/// results), the weighted Gram matrix is factored once at construction
+/// with the minimum-degree `linalg::SparseCholesky`, `estimate` is one
+/// factor solve and `residual` is z - H theta_hat. The M x M residual
+/// operator (I - K) is never formed. DESIGN.md "One state estimator"
+/// documents the differential oracle that pins these results.
 class StateEstimator {
  public:
   /// Builds the estimator for measurement matrix `h` (M x n, full column
   /// rank) with homogeneous sensor noise standard deviation `sigma`.
-  StateEstimator(linalg::Matrix h, double sigma);
+  StateEstimator(const linalg::Matrix& h, double sigma);
 
   /// Builds the estimator with per-sensor noise standard deviations.
-  StateEstimator(linalg::Matrix h, linalg::Vector sigmas);
+  StateEstimator(const linalg::Matrix& h, linalg::Vector sigmas);
 
-  /// Sparse-policy estimator with homogeneous noise `sigma`; `options`
-  /// picks the backend method (sparse Cholesky by default, CG as the
-  /// mega-grid escape hatch).
-  StateEstimator(linalg::SparseMatrix h, double sigma,
-                 const linalg::SolverOptions& options = {});
+  /// CSR input, homogeneous noise `sigma`.
+  StateEstimator(linalg::SparseMatrix h, double sigma);
 
-  /// Sparse-policy estimator with per-sensor noise standard deviations.
-  StateEstimator(linalg::SparseMatrix h, linalg::Vector sigmas,
-                 const linalg::SolverOptions& options = {});
+  /// CSR input, per-sensor noise standard deviations.
+  StateEstimator(linalg::SparseMatrix h, linalg::Vector sigmas);
 
-  // Copying re-runs the sparse factorization against the copy's own H
-  // (the backend solver views the estimator-owned matrix); moves keep
-  // the existing factor.
-  StateEstimator(const StateEstimator& other);
-  StateEstimator& operator=(const StateEstimator& other);
-  StateEstimator(StateEstimator&&) = default;
-  StateEstimator& operator=(StateEstimator&&) = default;
-
-  /// The storage policy H was supplied under.
-  linalg::StoragePolicy storage() const { return storage_; }
-
-  /// The dense measurement matrix; requires the dense storage policy.
-  const linalg::Matrix& h() const { return h_; }
-
-  /// The sparse measurement matrix; requires the sparse storage policy.
-  const linalg::SparseMatrix& sparse_h() const { return *sparse_h_; }
-
-  std::size_t num_measurements() const { return num_measurements_; }
-  std::size_t state_dimension() const { return state_dimension_; }
+  std::size_t num_measurements() const { return h_.rows(); }
+  std::size_t state_dimension() const { return h_.cols(); }
 
   /// Degrees of freedom of the residual: M - n.
   std::size_t residual_dof() const {
-    return num_measurements_ - state_dimension_;
+    return num_measurements() - state_dimension();
   }
 
   /// Per-sensor noise standard deviations.
@@ -81,7 +50,7 @@ class StateEstimator {
   /// WLS state estimate for measurement vector `z`.
   linalg::Vector estimate(const linalg::Vector& z) const;
 
-  /// Raw residual vector r = z - H theta_hat = (I - K) z.
+  /// Raw residual vector r = z - H theta_hat.
   linalg::Vector residual(const linalg::Vector& z) const;
 
   /// Noise-normalized residual norm || W^{1/2} (z - H theta_hat) ||.
@@ -96,23 +65,10 @@ class StateEstimator {
   double attack_residual_norm(const linalg::Vector& attack) const;
 
  private:
-  void initialize();
-  void initialize_sparse(const linalg::SolverOptions& options);
-  void validate_sigmas() const;
-
-  linalg::StoragePolicy storage_ = linalg::StoragePolicy::kDense;
-  linalg::Matrix h_;
-  // unique_ptr: the backend solver views this matrix, so its address
-  // must survive a move of the estimator.
-  std::unique_ptr<linalg::SparseMatrix> sparse_h_;
-  linalg::SolverOptions solver_options_;
-  std::size_t num_measurements_ = 0;
-  std::size_t state_dimension_ = 0;
+  linalg::SparseMatrix h_;
   linalg::Vector sigmas_;
-  linalg::Vector weights_;          // 1 / sigma_i^2
-  linalg::Matrix residual_op_;      // I - K (dense policy only)
-  // Sparse policy: the factored normal-equations backend.
-  std::optional<linalg::NormalEquationsSolver> solver_;
+  linalg::Vector weights_;       // 1 / sigma_i^2
+  linalg::SparseCholesky gram_;  // factor of H^T W H
 };
 
 }  // namespace mtdgrid::estimation

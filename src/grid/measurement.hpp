@@ -31,8 +31,7 @@ linalg::Matrix measurement_matrix(const PowerSystem& sys,
 linalg::Matrix measurement_matrix(const PowerSystem& sys);
 
 /// Builds H for reactances `x` directly in CSR, without a dense
-/// intermediate — the `StoragePolicy::kSparse` entry point of the
-/// measurement model. H has ~2 entries per flow row and (degree+1) per
+/// intermediate — the CSR entry point of the measurement model. H has ~2 entries per flow row and (degree+1) per
 /// injection row, so nnz is O(L + N) against the dense M x (N-1) block.
 /// Values are bit-identical to `measurement_matrix`: each injection entry
 /// accumulates its per-branch susceptance contributions in branch order,

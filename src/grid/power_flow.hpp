@@ -22,9 +22,9 @@ DcPowerFlowResult solve_dc_power_flow(const PowerSystem& sys,
                                       const linalg::Vector& injections_mw,
                                       double balance_tol = 1e-6);
 
-/// Sparse-backbone DC power flow (StoragePolicy::kSparse counterpart of
-/// `solve_dc_power_flow`): assembles the reduced susceptance matrix
-/// directly in CSR (TripletBuilder, branch assembly order) and solves it
+/// Sparse DC power flow (CSR counterpart of `solve_dc_power_flow`):
+/// assembles the reduced susceptance matrix directly in CSR
+/// (TripletBuilder, branch assembly order) and solves it
 /// with the minimum-degree-ordered sparse Cholesky — B_r is symmetric
 /// positive definite for a connected network. At mega-grid scale
 /// (1k-10k buses, ROADMAP "Synthetic mega-grids") the dense LU path is

@@ -5,9 +5,9 @@
 
 namespace mtdgrid::linalg {
 
-/// Cholesky factorization `A = L L^T` of a symmetric positive-definite
-/// matrix, used for the weighted-least-squares normal equations
-/// `(H^T W H) x = H^T W z` that drive the state estimator.
+/// Dense Cholesky factorization `A = L L^T` of a symmetric
+/// positive-definite matrix: the reference the `SparseCholesky` property
+/// tests compare against (production solves use `SparseCholesky`).
 class CholeskyDecomposition {
  public:
   /// Factorizes the symmetric matrix `a`; only the lower triangle is read.

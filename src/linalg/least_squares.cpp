@@ -1,62 +1,12 @@
 #include "linalg/least_squares.hpp"
 
-#include <cassert>
-#include <stdexcept>
-
-#include "linalg/backend.hpp"
-#include "linalg/cholesky.hpp"
 #include "linalg/qr.hpp"
 
 namespace mtdgrid::linalg {
 
-Matrix weighted_gram(const Matrix& a, const Vector& weights) {
-  const std::size_t m = a.rows();
-  const std::size_t n = a.cols();
-  Matrix gram(n, n);
-  for (std::size_t k = 0; k < m; ++k) {
-    const double w = weights[k];
-    if (w == 0.0) continue;
-    for (std::size_t i = 0; i < n; ++i) {
-      const double waki = w * a(k, i);
-      if (waki == 0.0) continue;
-      for (std::size_t j = 0; j < n; ++j) {
-        gram(i, j) += waki * a(k, j);
-      }
-    }
-  }
-  return gram;
-}
-
-Vector solve_weighted_least_squares(const Matrix& a, const Vector& weights,
-                                    const Vector& b) {
-  assert(a.rows() == weights.size() && a.rows() == b.size());
-  return solve_weighted_least_squares(LinearOperator(a), weights, b);
-}
-
 Vector solve_least_squares(const Matrix& a, const Vector& b) {
   QrDecomposition qr(a);
   return qr.solve_least_squares(b);
-}
-
-Matrix weighted_hat_matrix(const Matrix& a, const Vector& weights) {
-  assert(a.rows() == weights.size());
-  const Matrix gram = weighted_gram(a, weights);
-  CholeskyDecomposition chol(gram);
-  if (chol.failed())
-    throw std::runtime_error("weighted hat matrix: rank-deficient matrix");
-
-  // K = A G^{-1} A^T W, built column by column: K e_j = A G^{-1} A^T W e_j.
-  const std::size_t m = a.rows();
-  Matrix k(m, m);
-  for (std::size_t j = 0; j < m; ++j) {
-    if (weights[j] == 0.0) continue;
-    Vector atw(a.cols());
-    for (std::size_t c = 0; c < a.cols(); ++c) atw[c] = a(j, c) * weights[j];
-    const Vector x = chol.solve(atw);
-    const Vector column = a * x;
-    k.set_col(j, column);
-  }
-  return k;
 }
 
 }  // namespace mtdgrid::linalg

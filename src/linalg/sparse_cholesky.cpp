@@ -82,8 +82,8 @@ void SparseCholesky::factorize(const SparseMatrix& a) {
   const SparseMatrix ap = builder.build();
 
   // Same relative positive-definiteness tolerance as the dense
-  // CholeskyDecomposition (dense stays the bit-exact reference; the
-  // failure contract must agree).
+  // CholeskyDecomposition, so both factorizations fail on the same
+  // inputs.
   double max_diag = 0.0;
   for (std::size_t k = 0; k < n; ++k)
     max_diag = std::max(max_diag, std::abs(ap.coeff(k, k)));

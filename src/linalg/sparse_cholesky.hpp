@@ -24,8 +24,9 @@ namespace mtdgrid::linalg {
 std::vector<std::size_t> minimum_degree_ordering(const SparseMatrix& a);
 
 /// Sparse Cholesky factorization `P A P^T = L L^T` of a symmetric
-/// positive-definite matrix, the direct backend behind
-/// `NormalEquationsSolver` for `StoragePolicy::kSparse`.
+/// positive-definite matrix: the weighted-Gram factor of
+/// `estimation::StateEstimator` and the susceptance solve of
+/// `grid::solve_dc_power_flow_sparse`.
 ///
 /// The factorization is simplicial up-looking (CSparse-style): an
 /// elimination tree drives the symbolic pattern of each row of L, and a

@@ -22,8 +22,9 @@ struct CscView {
 };
 
 /// Compressed-sparse-row (CSR) real matrix with value semantics — the
-/// storage behind the `StoragePolicy::kSparse` side of the linalg backend
-/// (DESIGN.md "Storage policy & sparse backbone").
+/// representation of the measurement matrix inside
+/// `estimation::StateEstimator` and of the mega-grid power-flow system
+/// (DESIGN.md "One state estimator").
 ///
 /// Rows are stored back to back: row i occupies entry range
 /// [row_ptr()[i], row_ptr()[i+1]) of col_idx()/values(), with column

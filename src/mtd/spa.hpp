@@ -71,11 +71,11 @@ class SpaEvaluator {
   /// (2L + N rows, N - 1 columns); throws std::invalid_argument otherwise.
   SpaEvaluator(const grid::PowerSystem& sys, const linalg::Matrix& h_attacker);
 
-  /// Sparse construction path (storage-policy backbone): `h_attacker` in
-  /// CSR, e.g. from `grid::sparse_measurement_matrix`. Reference-reactance
-  /// recognition and its verification run on the O(L + N) stored entries
-  /// instead of the dense M x (N-1) block; only the attacker QR basis Q0
-  /// — inherently dense — is then materialized. The rank-k gamma() update
+  /// Sparse construction path: `h_attacker` in CSR, e.g. from
+  /// `grid::sparse_measurement_matrix`. Reference-reactance recognition
+  /// and its verification run on the O(L + N) stored entries instead of
+  /// the dense M x (N-1) block; only the attacker QR basis Q0 —
+  /// inherently dense — is then materialized. The rank-k gamma() update
   /// math is shared with the dense constructor unchanged.
   SpaEvaluator(const grid::PowerSystem& sys,
                const linalg::SparseMatrix& h_attacker);

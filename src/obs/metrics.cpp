@@ -12,10 +12,8 @@ constexpr WorkInfo kWorkInfo[kWorkCount] = {
     {"simplex_phase2_iterations", "Simplex phase-2 (optimality) pivots", true},
     {"simplex_bland_pivots", "Simplex pivots taken under the Bland fallback",
      true},
-    {"cg_solves", "Conjugate-gradient solves started", true},
-    {"cg_iterations", "Conjugate-gradient iterations summed over solves",
-     true},
-    {"cg_breakdowns", "Conjugate-gradient breakdowns (p'Ap <= 0)", true},
+    {"cg_iterations",
+     "Retired conjugate-gradient iteration count; always 0", true},
     {"cholesky_factorizations", "Sparse Cholesky factorization attempts",
      true},
     {"cholesky_factor_nnz",

@@ -24,9 +24,9 @@ enum class Work : std::size_t {
   kSimplexPhase1Iterations,  ///< phase-1 (feasibility) pivots
   kSimplexPhase2Iterations,  ///< phase-2 (optimality) pivots
   kSimplexBlandPivots,       ///< pivots taken after the Bland fallback
-  kCgSolves,                 ///< `linalg::preconditioned_cg` calls
-  kCgIterations,             ///< CG iterations summed over solves
-  kCgBreakdowns,             ///< CG breakdowns (p'Ap <= 0)
+  kCgIterations,             ///< always 0: the conjugate-gradient solver
+                             ///< is gone; kept because the perfbench
+                             ///< report still reads this row
   kCholeskyFactorizations,   ///< sparse Cholesky factorization attempts
   kCholeskyFactorNnz,        ///< nonzeros of L summed over factorizations
   kSpaFastPathEvals,         ///< SPA gamma via the rank-k incremental path

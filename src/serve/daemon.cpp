@@ -137,8 +137,9 @@ std::size_t MtdDaemon::tick_locked() {
     snap->reactances = std::move(outcome.reactances);
     snap->dispatch = std::move(outcome.dispatch);
     snap->z_ref = std::move(outcome.z_ref);
+    snap->h_mtd = std::move(outcome.h_mtd);
     snap->estimator = std::make_shared<const estimation::StateEstimator>(
-        std::move(outcome.h_mtd), options_.daily.effectiveness.sigma_mw);
+        snap->h_mtd, options_.daily.effectiveness.sigma_mw);
     snap->bdd = std::make_shared<const estimation::BadDataDetector>(
         *snap->estimator, options_.daily.effectiveness.fp_rate);
   }
@@ -360,8 +361,12 @@ std::string MtdDaemon::reply_detect(const Request& req) {
              std::to_string(snap->estimator->num_measurements()) +
              " entries (order: L forward flows, L reverse flows, N "
              "injections; MW)"});
-  counters_.detect.fetch_add(1, std::memory_order_relaxed);
   const double residual = snap->estimator->normalized_residual_norm(z);
+  if (!std::isfinite(residual))
+    return error_line(
+        {"bad-request",
+         "\"z\" is out of range: its normalized residual overflows"});
+  counters_.detect.fetch_add(1, std::memory_order_relaxed);
   Json reply;
   reply.set("ok", Json(true));
   reply.set("op", Json("detect"));
@@ -643,7 +648,7 @@ std::string MtdDaemon::reply_campaign(const Request& req) {
         case attack::AttackerPolicy::kZeroKnowledge:
           break;
         case attack::AttackerPolicy::kStaleKey:
-          h_attacker = &prev.estimator->h();
+          h_attacker = &prev.h_mtd;
           ++boundary_replays;
           obs::add(obs::Work::kStaleReplays);
           break;
@@ -655,14 +660,14 @@ std::string MtdDaemon::reply_campaign(const Request& req) {
           probes_used += static_cast<std::uint64_t>(req.probes);
           break;
         case attack::AttackerPolicy::kOmniscient:
-          h_attacker = &cur.estimator->h();
+          h_attacker = &cur.h_mtd;
           break;
         case attack::AttackerPolicy::kRamp:
           break;  // unreachable: not a wire policy (parse rejects it)
       }
       stats::Rng rng = stats::make_stream(policy_root, cur.hour);
       const mtd::EffectivenessResult er = mtd::evaluate_effectiveness(
-          *h_attacker, cur.estimator->h(), cur.z_ref, eff, rng);
+          *h_attacker, cur.h_mtd, cur.z_ref, eff, rng);
       detection_sum += er.mean_detection;
       eta_sum += er.eta[0];
       hourly_detection.push_back(Json(er.mean_detection));

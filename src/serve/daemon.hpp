@@ -68,6 +68,8 @@ struct HourKeySnapshot {
   linalg::Vector reactances;   ///< full post-MTD reactance vector
   opf::DispatchResult dispatch;  ///< OPF dispatch at the key
   linalg::Vector z_ref;        ///< noiseless reference measurements (MW)
+  linalg::Matrix h_mtd;        ///< post-MTD measurement matrix H' (dense;
+                               ///< the campaign verb's attacker keys)
   /// WLS estimator at the hour's key (null when `keyed` is false).
   std::shared_ptr<const estimation::StateEstimator> estimator;
   /// Chi-square bad-data detector paired with `estimator`.

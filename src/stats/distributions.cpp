@@ -105,6 +105,27 @@ double chi_square_quantile(double p, double k) {
   return 0.5 * (lo + hi);
 }
 
+namespace {
+
+// Largest lambda / 2 the Poisson-mixture walk below indexes with `int`
+// (its upward walk reaches mode + 10000).
+constexpr double kMaxMixtureHalfLambda =
+    static_cast<double>(std::numeric_limits<int>::max() - 10000);
+
+// Noncentral chi-square CDF past the mixture's range (lambda > ~4.3e9):
+// the Abdel-Aty cube-root normal approximation. Its absolute error is
+// ~2e-4 at lambda = 1e5 and shrinks as 1/sqrt(lambda), so ~1e-6 here,
+// and Phi saturates to exactly 0 or 1 more than ~38 standard deviations
+// from the mean k + lambda (where every BDD threshold sits).
+double large_lambda_cdf(double x, double k, double lambda) {
+  if (std::isinf(lambda)) return 0.0;
+  const double mean = k + lambda;
+  const double v = 2.0 * (k + 2.0 * lambda) / (9.0 * mean * mean);
+  return normal_cdf((std::cbrt(x / mean) - (1.0 - v)) / std::sqrt(v));
+}
+
+}  // namespace
+
 double noncentral_chi_square_cdf(double x, double k, double lambda) {
   assert(k > 0.0 && lambda >= 0.0);
   if (x <= 0.0) return 0.0;
@@ -114,11 +135,23 @@ double noncentral_chi_square_cdf(double x, double k, double lambda) {
   // Start at the modal Poisson index and expand outward until the
   // accumulated probability mass makes further terms negligible.
   const double half_lambda = 0.5 * lambda;
+  if (!(half_lambda <= kMaxMixtureHalfLambda))
+    return large_lambda_cdf(x, k, lambda);
   const auto poisson_log_pmf = [&](int j) {
     return -half_lambda + j * std::log(half_lambda) - log_gamma(j + 1.0);
   };
 
   const int mode = static_cast<int>(half_lambda);
+
+  // F_chi2(x; k + 2j) falls as j grows, and the downward walk stops at
+  // an index >= `j_floor` (Poisson mass there is < e^-50 < 1e-18). When
+  // F is already exactly 0 at `j_floor`, every term of the walk is 0: skip
+  // the O(sqrt(lambda)) walk — a detect whose attack residual dwarfs
+  // the threshold would otherwise spend ~40 ms here at lambda ~ 4e9.
+  const int j_floor = std::max(
+      0, mode - static_cast<int>(std::ceil(10.0 * std::sqrt(half_lambda))) -
+             10);
+  if (chi_square_cdf(x, k + 2.0 * j_floor) == 0.0) return 0.0;
   double total = 0.0;
   double weight_sum = 0.0;
 

@@ -107,7 +107,7 @@ TEST(MeasurementTest, ScalingAllReactancesScalesH) {
 // --- sparse construction path -------------------------------------------
 
 TEST(MeasurementSparseTest, SparseMatrixEqualsDenseBitForBit) {
-  // The storage-policy contract: sparse H emits its contributions in the
+  // The CSR contract: sparse H emits its contributions in the
   // same branch order the dense susceptance accumulation uses, so every
   // stored value is bit-identical to the dense entry — exact ==, not NEAR.
   for (const PowerSystem& sys :

@@ -4,9 +4,9 @@
 
 #include <algorithm>
 #include <numeric>
-#include <stdexcept>
 
-#include "linalg/cg.hpp"
+#include "grid/cases.hpp"
+#include "grid/measurement.hpp"
 #include "linalg/cholesky.hpp"
 #include "stats/rng.hpp"
 #include "test_util.hpp"
@@ -175,112 +175,51 @@ TEST(SparseCholeskyTest, FailsOnStructurallySingularMatrix) {
   EXPECT_TRUE(SparseCholesky(builder.build()).failed());
 }
 
-// --- preconditioners and CG ---------------------------------------------
 
-TEST(PreconditionerTest, JacobiInvertsTheDiagonal) {
-  TripletBuilder builder(3, 3);
-  builder.add(0, 0, 2.0);
-  builder.add(1, 1, 4.0);
-  builder.add(2, 2, 0.5);
-  builder.add(0, 1, 1.0);  // off-diagonal ignored by Jacobi
-  const JacobiPreconditioner m(builder.build());
-  Vector r(3, 1.0);
-  const Vector z = m.apply(r);
-  EXPECT_DOUBLE_EQ(z[0], 0.5);
-  EXPECT_DOUBLE_EQ(z[1], 0.25);
-  EXPECT_DOUBLE_EQ(z[2], 2.0);
+// --- IEEE-case agreement: dense vs sparse weighted least squares --------
+
+/// Solves the weighted normal equations H^T W H x = H^T W b of each case's
+/// measurement matrix twice: dense Gram + dense Cholesky, and CSR Gram +
+/// SparseCholesky (the estimator's path). Both must agree to 1e-10.
+void expect_case_agreement(const grid::PowerSystem& sys, int seed) {
+  const Matrix h = grid::measurement_matrix(sys);
+  const SparseMatrix hs = grid::sparse_measurement_matrix(sys);
+  ASSERT_EQ(max_abs_diff(hs.to_dense(), h), 0.0) << sys.name();
+  stats::Rng rng(seed);
+  Vector w(h.rows());
+  for (std::size_t i = 0; i < h.rows(); ++i) w[i] = rng.uniform(0.25, 4.0);
+
+  Matrix wh = h;
+  for (std::size_t i = 0; i < h.rows(); ++i)
+    for (std::size_t j = 0; j < h.cols(); ++j) wh(i, j) *= w[i];
+  const CholeskyDecomposition dense(h.transpose_times(wh));
+  const SparseCholesky sparse(hs.weighted_gram(w));
+  ASSERT_FALSE(dense.failed()) << sys.name();
+  ASSERT_FALSE(sparse.failed()) << sys.name();
+
+  for (int trial = 0; trial < 3; ++trial) {
+    // Realistic magnitudes: states ~0.1 rad, noise-scale perturbations.
+    const Vector theta = test::random_vector(h.cols(), rng, 0.1);
+    const Vector b = h * theta + test::random_vector(h.rows(), rng, 0.01);
+    const Vector wb = w.hadamard(b);
+    const Vector x_dense = dense.solve(h.transpose_times(wb));
+    const Vector x_sparse = sparse.solve(hs.transpose_times(wb));
+    const double scale = std::max(1.0, x_dense.norm_inf());
+    EXPECT_LT(max_abs_diff(x_sparse, x_dense), 1e-10 * scale)
+        << sys.name() << " trial " << trial;
+  }
 }
 
-TEST(PreconditionerTest, JacobiRejectsNonPositiveDiagonal) {
-  TripletBuilder builder(2, 2);
-  builder.add(0, 0, 1.0);
-  builder.add(1, 1, -2.0);
-  EXPECT_THROW(JacobiPreconditioner{builder.build()}, std::runtime_error);
+TEST(BackendCaseAgreementTest, Case14DenseVsSparseWithin1em10) {
+  expect_case_agreement(grid::make_case14(), 81);
 }
 
-TEST(PreconditionerTest, IncompleteCholeskyExactOnFillFreePattern) {
-  // A tridiagonal matrix factors with zero fill, so IC(0) == exact
-  // Cholesky and one apply solves the system outright.
-  const std::size_t n = 25;
-  const SparseMatrix a = laplacian_1d(n);
-  const IncompleteCholeskyPreconditioner m(a);
-  ASSERT_FALSE(m.failed());
-  stats::Rng rng(41);
-  const Vector b = test::random_vector(n, rng);
-  EXPECT_LT(max_abs_diff(a * m.apply(b), b), 1e-10);
+TEST(BackendCaseAgreementTest, Case57DenseVsSparseWithin1em10) {
+  expect_case_agreement(grid::make_case57(), 82);
 }
 
-TEST(PreconditionerTest, IncompleteCholeskyFlagsMissingDiagonal) {
-  TripletBuilder builder(2, 2);
-  builder.add(0, 0, 1.0);  // no (1,1) entry
-  const IncompleteCholeskyPreconditioner m(builder.build());
-  EXPECT_TRUE(m.failed());
-}
-
-class CgProperty : public ::testing::TestWithParam<int> {};
-
-TEST_P(CgProperty, ConvergesWithBothPreconditioners) {
-  stats::Rng rng(300 + GetParam());
-  const std::size_t n = 20;
-  const SparseMatrix a =
-      SparseMatrix::from_dense(test::random_spd_matrix(n, rng));
-  const Vector b = test::random_vector(n, rng);
-  const SparseCholesky direct(a);
-  ASSERT_FALSE(direct.failed());
-  const Vector x_ref = direct.solve(b);
-
-  const JacobiPreconditioner jacobi(a);
-  const CgResult rj = preconditioned_cg(a, b, jacobi);
-  EXPECT_TRUE(rj.converged);
-  EXPECT_LT(rj.relative_residual, 1e-10);
-  EXPECT_LT(max_abs_diff(rj.x, x_ref), 1e-7);
-
-  const IncompleteCholeskyPreconditioner ic(a);
-  ASSERT_FALSE(ic.failed());
-  const CgResult ri = preconditioned_cg(a, b, ic);
-  EXPECT_TRUE(ri.converged);
-  EXPECT_LT(ri.relative_residual, 1e-10);
-  EXPECT_LT(max_abs_diff(ri.x, x_ref), 1e-7);
-  // IC(0) must not be weaker than diagonal scaling on these systems.
-  EXPECT_LE(ri.iterations, rj.iterations);
-}
-
-INSTANTIATE_TEST_SUITE_P(Seeds, CgProperty, ::testing::Range(0, 10));
-
-TEST(CgTest, ZeroRhsConvergesImmediately) {
-  const SparseMatrix a = laplacian_1d(10);
-  const JacobiPreconditioner m(a);
-  const CgResult r = preconditioned_cg(a, Vector(10), m);
-  EXPECT_TRUE(r.converged);
-  EXPECT_EQ(r.iterations, 0u);
-  EXPECT_EQ(r.x.norm(), 0.0);
-}
-
-TEST(CgTest, IterationCapStopsUnconverged) {
-  stats::Rng rng(51);
-  const SparseMatrix a =
-      SparseMatrix::from_dense(test::random_spd_matrix(30, rng));
-  const Vector b = test::random_vector(30, rng);
-  const JacobiPreconditioner m(a);
-  CgOptions options;
-  options.max_iterations = 1;
-  const CgResult r = preconditioned_cg(a, b, m, options);
-  EXPECT_FALSE(r.converged);
-  EXPECT_EQ(r.iterations, 1u);
-  EXPECT_GT(r.relative_residual, 1e-12);
-}
-
-TEST(CgTest, IsDeterministic) {
-  stats::Rng rng(52);
-  const SparseMatrix a =
-      SparseMatrix::from_dense(test::random_spd_matrix(16, rng));
-  const Vector b = test::random_vector(16, rng);
-  const IncompleteCholeskyPreconditioner m(a);
-  ASSERT_FALSE(m.failed());
-  const CgResult r1 = preconditioned_cg(a, b, m);
-  const CgResult r2 = preconditioned_cg(a, b, m);
-  EXPECT_EQ(r1.iterations, r2.iterations);
-  EXPECT_EQ(max_abs_diff(r1.x, r2.x), 0.0);
+TEST(BackendCaseAgreementTest, Case118DenseVsSparseWithin1em10) {
+  expect_case_agreement(grid::make_case118(), 83);
 }
 
 }  // namespace

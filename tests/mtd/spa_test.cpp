@@ -270,7 +270,7 @@ TEST(SpaEvaluatorTest, RejectsWrongDimensions) {
 // --- sparse attacker-matrix construction --------------------------------
 
 TEST(SpaEvaluatorSparseTest, SparseConstructionEntersIncrementalMode) {
-  // Sparse H from the storage-policy path: recognition runs on the CSR
+  // CSR H from the sparse measurement model: recognition runs on the CSR
   // entries and the evaluator behaves exactly like its dense twin.
   const grid::PowerSystem sys = grid::make_case14();
   const linalg::Matrix h0 = grid::measurement_matrix(sys);

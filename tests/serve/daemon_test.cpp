@@ -150,6 +150,41 @@ TEST_F(ServeDaemonTest, DetectFlagsInjectedDeviationAndScoresIt) {
   EXPECT_GT(alarm.find("p_detect")->as_number(), 0.99);
 }
 
+TEST_F(ServeDaemonTest, AnalyticDetectStaysFiniteForHugeDeviations) {
+  // 1e4 MW on one flow puts the noncentrality past 4.3e9, beyond the
+  // Poisson mixture's int-indexed range: the reply must still carry a
+  // finite (saturated) detection probability.
+  const Json probe =
+      Json::parse(daemon_->handle_line(R"({"op":"probe","id":7})"));
+  const Json::Array& z = probe.find("z")->as_array();
+  Json attacked_z;
+  for (std::size_t i = 0; i < z.size(); ++i)
+    attacked_z.push_back(Json(z[i].as_number() + (i == 0 ? 1e4 : 0.0)));
+  Json req;
+  req.set("op", Json("detect"));
+  req.set("method", Json("analytic"));
+  req.set("z", std::move(attacked_z));
+  const Json reply = Json::parse(daemon_->handle_line(req.dump()));
+  ASSERT_TRUE(reply.find("ok")->as_bool());
+  EXPECT_TRUE(reply.find("alarm")->as_bool());
+  ASSERT_FALSE(reply.find("p_detect")->is_null());
+  EXPECT_EQ(reply.find("p_detect")->as_number(), 1.0);
+}
+
+TEST_F(ServeDaemonTest, DetectRejectsMeasurementsWhoseResidualOverflows) {
+  Json z;
+  for (std::size_t i = 0; i < 54; ++i) z.push_back(Json(1e200));
+  for (const char* method : {"bdd", "analytic", "mc"}) {
+    Json req;
+    req.set("op", Json("detect"));
+    req.set("method", Json(method));
+    req.set("z", z);
+    EXPECT_EQ(daemon_->handle_line(req.dump()),
+              R"x({"ok":false,"error":"bad-request","message":"\"z\" is out of range: its normalized residual overflows"})x")
+        << method;
+  }
+}
+
 TEST_F(ServeDaemonTest, MonteCarloDetectUsesPerRequestSubstreams) {
   const std::string req =
       R"({"op":"detect","id":5,"method":"mc","trials":200})";

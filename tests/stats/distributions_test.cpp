@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <limits>
 #include <numbers>
 #include <tuple>
 
@@ -133,6 +134,50 @@ TEST(NoncentralChiSquareTest, LargeLambdaStability) {
   EXPECT_LE(v, 1.0);
   // Mean is k + lambda = 441 < 500, so CDF should exceed one half.
   EXPECT_GT(v, 0.5);
+}
+
+TEST(NoncentralChiSquareTest, MixtureRangeValuesArePinned) {
+  // Bit-exact values of the Poisson-mixture evaluation, recorded before
+  // the large-lambda guard existed: the guard must not move them. The
+  // lambda = 1e6 and 4e9 rows take the exact-zero early exit.
+  struct Pin {
+    double x, k, lambda, cdf;
+  };
+  const Pin pins[] = {
+      {30.0, 10.0, 5.0, 0x1.f4766d35d77c4p-1},
+      {500.0, 41.0, 400.0, 0x1.d7d11c7d85bb9p-1},
+      {124.3, 100.0, 1e6, 0.0},
+      {124.3, 100.0, 4e9, 0.0},
+      {50.0, 20.0, 0.5, 0x1.ffd4f449d3c3bp-1},
+      {1e6, 100.0, 1e6, 0x1.de900b84131c6p-2},
+      {1000100.0, 100.0, 1e6, 0x1.f342561c2d539p-2},
+      {300.0, 200.0, 90.0, 0x1.4d6e0b00fa4b2p-1},
+      {10.0, 3.0, 1e-3, 0x1.f67ac8e1ec319p-1},
+      {2e5, 57.0, 2e5, 0x1.e65a41caad197p-2},
+  };
+  for (const Pin& p : pins)
+    EXPECT_EQ(noncentral_chi_square_cdf(p.x, p.k, p.lambda), p.cdf)
+        << "x=" << p.x << " k=" << p.k << " lambda=" << p.lambda;
+}
+
+TEST(NoncentralChiSquareTest, HugeLambdaIsFiniteAndSaturates) {
+  // Past the mixture's int-indexed range (lambda/2 > INT_MAX - 1e4) the
+  // CDF is the cube-root normal form: exactly 0 at a BDD threshold,
+  // about one half at the mean, exactly 1 far above it.
+  for (const double lambda : {5e9, 1e12}) {
+    const double k = 100.0;
+    const double mean = k + lambda;
+    const double sd = std::sqrt(2.0 * (k + 2.0 * lambda));
+    EXPECT_EQ(noncentral_chi_square_cdf(124.3, k, lambda), 0.0);
+    EXPECT_EQ(noncentral_chi_square_sf(124.3, k, lambda), 1.0);
+    EXPECT_NEAR(noncentral_chi_square_cdf(mean, k, lambda), 0.5, 1e-4);
+    EXPECT_NEAR(noncentral_chi_square_cdf(mean + sd, k, lambda),
+                normal_cdf(1.0), 1e-4);
+    EXPECT_EQ(noncentral_chi_square_cdf(mean + 60.0 * sd, k, lambda), 1.0);
+  }
+  EXPECT_EQ(noncentral_chi_square_sf(124.3, 100.0,
+                                     std::numeric_limits<double>::infinity()),
+            1.0);
 }
 
 TEST(NormalCdfTest, StandardValues) {

@@ -19,9 +19,8 @@ namespace {
 /// One adopted key: what the defender operates (and what an attacker who
 /// captured it can replay).
 struct KeyState {
-  std::size_t adopted_hour = 0;  ///< trajectory hour the key went live
-  linalg::Matrix h;              ///< the key's measurement matrix H'
-  linalg::Vector reactances;     ///< the key's full reactance vector
+  linalg::Matrix h;           ///< the key's measurement matrix H'
+  linalg::Vector reactances;  ///< the key's full reactance vector
 };
 
 /// One trajectory hour as the campaign scores it.
@@ -32,51 +31,50 @@ struct HourState {
   linalg::Vector z_ref;  ///< noiseless measurements at the operating point
 };
 
-/// The defender trajectory of one re-keying schedule: the engine advances
-/// hourly (consuming `Rng(seed)` exactly as `run_daily_simulation` would);
-/// a freshly selected key is *adopted* only every `rekey_every` hours and
-/// held in between, with the OPF re-tracking the hourly load at the held
-/// reactances.
-std::vector<HourState> defender_trajectory(const grid::PowerSystem& sys,
-                                           const grid::DailyLoadTrace& trace,
-                                           const CampaignOptions& options,
-                                           std::size_t rekey_every) {
+/// Every re-keying schedule's defender trajectory from one engine advanced
+/// hourly on `Rng(seed)` exactly as `run_daily_simulation` would. Neither
+/// pass 1 nor `advance_hour` depends on the schedule, so schedule P adopts
+/// the hour's fresh key every P hours and holds its key in between, with
+/// the OPF re-tracking the hourly load at the held reactances.
+std::vector<std::vector<HourState>> defender_trajectories(
+    const grid::PowerSystem& sys, const grid::DailyLoadTrace& trace,
+    const CampaignOptions& options) {
   mtd::DailyEngine engine(sys, trace, options.daily);
   stats::Rng rng(options.seed);
-  std::vector<HourState> hours;
-  hours.reserve(options.horizon_hours);
-  std::shared_ptr<const KeyState> key, prev;
+  std::vector<std::vector<HourState>> trajectories(options.rekey_every.size());
   for (std::size_t h = 0; h < options.horizon_hours; ++h) {
     mtd::DailyHourOutcome out = engine.advance_hour(rng);
-    HourState hour;
-    if (h % rekey_every == 0 && out.record.feasible) {
-      if (key) prev = key;
-      auto fresh = std::make_shared<KeyState>();
-      fresh->adopted_hour = h;
-      fresh->h = std::move(out.h_mtd);
-      fresh->reactances = std::move(out.reactances);
-      key = std::move(fresh);
-      hour.z_ref = std::move(out.z_ref);
-      hour.scored = true;
-    } else if (key) {
-      // Held key: the defender keeps the reactances and re-dispatches for
-      // this hour's loads (the engine applied them during advance_hour).
-      const opf::DispatchResult d =
-          opf::solve_dc_opf(engine.system(), key->reactances);
-      if (d.feasible) {
-        hour.z_ref = grid::noiseless_measurements(
-            engine.system(), key->reactances, d.theta_reduced);
+    std::shared_ptr<const KeyState> fresh;  // shared by adopting schedules
+    if (out.record.feasible)
+      fresh = std::make_shared<const KeyState>(
+          KeyState{std::move(out.h_mtd), std::move(out.reactances)});
+    for (std::size_t s = 0; s < trajectories.size(); ++s) {
+      std::vector<HourState>& hours = trajectories[s];
+      HourState hour;  // the keys carry over from the schedule's last hour
+      if (h > 0) hour = {false, hours.back().key, hours.back().prev, {}};
+      if (h % options.rekey_every[s] == 0 && fresh) {
+        if (hour.key) hour.prev = hour.key;
+        hour.key = fresh;
+        hour.z_ref = out.z_ref;
         hour.scored = true;
+      } else if (hour.key) {
+        // Held key: re-dispatch for this hour's loads (the engine applied
+        // them during advance_hour).
+        const opf::DispatchResult d =
+            opf::solve_dc_opf(engine.system(), hour.key->reactances);
+        if (d.feasible) {
+          hour.z_ref = grid::noiseless_measurements(
+              engine.system(), hour.key->reactances, d.theta_reduced);
+          hour.scored = true;
+        }
       }
+      // Scoring starts at the first re-keying boundary so the stale policy
+      // is defined on exactly the hours every other policy sees.
+      hour.scored = hour.scored && hour.prev != nullptr;
+      hours.push_back(std::move(hour));
     }
-    hour.key = key;
-    hour.prev = prev;
-    // Scoring starts at the first re-keying boundary so the stale policy
-    // is defined on exactly the hours every other policy sees.
-    hour.scored = hour.scored && key != nullptr && prev != nullptr;
-    hours.push_back(std::move(hour));
   }
-  return hours;
+  return trajectories;
 }
 
 }  // namespace
@@ -182,14 +180,15 @@ CampaignFrontier run_campaign(const grid::PowerSystem& sys,
   const std::uint64_t campaign_root =
       stats::stream_seed(opt.seed, kCampaignStreamTag);
 
+  const std::vector<std::vector<HourState>> trajectories =
+      defender_trajectories(sys, trace, opt);
   std::uint64_t cell_index = 0;
-  for (const std::size_t rekey : opt.rekey_every) {
-    const std::vector<HourState> hours =
-        defender_trajectory(sys, trace, opt, rekey);
+  for (std::size_t s = 0; s < opt.rekey_every.size(); ++s) {
+    const std::vector<HourState>& hours = trajectories[s];
     for (const AttackerSpec& spec : opt.attackers) {
       CampaignCell cell;
       cell.attacker = spec;
-      cell.rekey_every = rekey;
+      cell.rekey_every = opt.rekey_every[s];
       const std::uint64_t cell_root =
           stats::stream_seed(campaign_root, cell_index);
       double detection_sum = 0.0;

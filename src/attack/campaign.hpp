@@ -47,18 +47,20 @@ struct AttackerSpec {
 std::vector<AttackerSpec> default_attackers();
 
 /// Campaign configuration: the scenario grid is
-/// `rekey_every x attackers`, played against one defender trajectory per
-/// re-keying schedule on the given case.
+/// `rekey_every x attackers`, played on the given case against one
+/// defender engine whose hourly keys every re-keying schedule reads.
 struct CampaignOptions {
   /// Root seed. Every number in the frontier is a pure function of
   /// (seed, options) — see the seeding contract in DESIGN.md.
   std::uint64_t seed = 7;
-  /// Defender hours simulated per re-keying schedule (>= 2; hour 0 only
-  /// establishes the first key and is never scored).
+  /// Defender hours simulated (>= 2; hour 0 only establishes the first
+  /// key and is never scored).
   std::size_t horizon_hours = 6;
-  /// Defender re-keying schedules: a schedule P adopts a freshly selected
-  /// key every P hours and holds it in between (the OPF keeps tracking
-  /// the hourly load at the held reactances).
+  /// Defender re-keying schedules: a schedule P adopts the hour's freshly
+  /// selected key every P hours and holds it in between (the OPF keeps
+  /// tracking the hourly load at the held reactances). All schedules read
+  /// the keys of one engine, so a schedule's cells do not depend on which
+  /// other schedules run beside it.
   std::vector<std::size_t> rekey_every = {1};
   /// The attacker panel (default: `default_attackers()` when empty).
   std::vector<AttackerSpec> attackers;
@@ -101,10 +103,14 @@ struct CampaignFrontier {
 /// determinism tests byte-compare across thread counts.
 std::string to_json(const CampaignFrontier& frontier);
 
-/// Runs a campaign: for each re-keying schedule, one sequential defender
-/// trajectory (a `mtd::DailyEngine` advanced hourly, adopting the freshly
-/// selected key every P hours), and for each attacker of the panel one
-/// frontier cell scored hour by hour against the key actually in force.
+/// Runs a campaign. One `mtd::DailyEngine`, advanced `horizon_hours`
+/// times, selects each hour's key once. Each re-keying schedule P adopts
+/// that key every P hours and holds its key in between, re-dispatched at
+/// the hour's loads. For each schedule and each attacker of the panel, one
+/// frontier cell is scored hour by hour against the key actually in force.
+/// Sharing the engine is exact: pass 1 draws nothing from the rng and
+/// `advance_hour` does not depend on the schedule, so a per-schedule engine
+/// would compute the same keys bit for bit.
 ///
 /// Scoring starts at the first re-keying boundary (every scored hour has
 /// a current *and* a previous key, so the stale policy is well defined on

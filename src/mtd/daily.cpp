@@ -43,6 +43,7 @@ DailyEngine::DailyEngine(grid::PowerSystem sys, grid::DailyLoadTrace trace,
   }
 
   base_.resize(hours);
+  obs::Span span("mtd.baseline", "mtd");
   for (std::size_t h = 0; h < hours; ++h) {
     trace_.apply(sys_, h, base_loads_);
     constexpr double kInfeasiblePenalty = 1e12;
@@ -86,11 +87,13 @@ DailyHourOutcome DailyEngine::advance_hour(stats::Rng& rng) {
   // evaluator pairs cached from the previous hour are stale.
   worker_cache_.invalidate();
 
+  // Apply the hour's loads even when it cannot be keyed: a caller holding
+  // an earlier key re-dispatches against `system()` at this hour's loads.
+  trace_.apply(sys_, h, base_loads_);
   const std::size_t prev = (h + hours - 1) % hours;
   if (!base_[h].feasible || !base_[prev].feasible) return out;
   rec.base_opf_cost = base_[h].cost;
 
-  trace_.apply(sys_, h, base_loads_);
   const linalg::Matrix& h_attacker = base_[prev].h;
 
   MtdSelectionOptions sel = options_.selection;

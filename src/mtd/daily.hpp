@@ -111,7 +111,8 @@ class DailyEngine {
   /// The load trace the virtual clock replays, day after day.
   const grid::DailyLoadTrace& trace() const { return trace_; }
 
-  /// The system operated on; loads reflect the most recently keyed hour.
+  /// The system operated on; loads are those of the hour last advanced
+  /// (applied even when that hour could not be keyed).
   const grid::PowerSystem& system() const { return sys_; }
 
   /// The simulation options the engine was built with.

@@ -99,5 +99,34 @@ TEST(CampaignDeterminismTest, RepeatedRunsShareBytes) {
   EXPECT_EQ(a.work, b.work);
 }
 
+TEST(CampaignDeterminismTest, SchedulesShareOneDefenderEngine) {
+  // Every schedule reads the same hourly keys, so a three-schedule
+  // campaign advances the defender exactly once per horizon hour.
+  CampaignOptions options = fast_options();
+  options.rekey_every = {1, 2, 3};
+  obs::MetricsRegistry registry;
+  obs::ScopedRegistry scope(&registry);
+  run_campaign(grid::make_case14(),
+               grid::DailyLoadTrace::nyiso_winter_weekday(), options);
+  EXPECT_EQ(registry.value(obs::Work::kEngineHours), options.horizon_hours);
+}
+
+TEST(CampaignDeterminismTest, SharedEngineLeaksNoStateBetweenSchedules) {
+  // The rekey_every = 1 cells of a {1, 2} campaign (cell indices 0-5)
+  // serialize byte-equal to a {1}-only campaign's.
+  CampaignOptions only_one = fast_options();
+  only_one.rekey_every = {1};
+  const grid::DailyLoadTrace trace =
+      grid::DailyLoadTrace::nyiso_winter_weekday();
+  CampaignFrontier both =
+      run_campaign(grid::make_case14(), trace, fast_options());
+  const CampaignFrontier alone =
+      run_campaign(grid::make_case14(), trace, only_one);
+  ASSERT_EQ(alone.cells.size(), 6u);
+  ASSERT_EQ(both.cells.size(), 12u);
+  both.cells.resize(alone.cells.size());
+  EXPECT_EQ(to_json(both), to_json(alone));
+}
+
 }  // namespace
 }  // namespace mtdgrid::attack

@@ -48,8 +48,7 @@ void parallel_for(std::size_t count, Fn&& fn, ThreadPool* pool = nullptr) {
 /// `parallel_for` with per-worker state: each worker evaluates
 /// `make_state()` once and passes the result to every task it claims —
 /// for scratch that is expensive to rebuild per task or unsafe to share
-/// across threads (`mtd::SpaEvaluator`, `opf::DispatchEvaluator`, simplex
-/// workspaces). Determinism rule: `fn(state, i)`'s observable result must
+/// across threads (`opf::DispatchEvaluator`, simplex workspaces). Determinism rule: `fn(state, i)`'s observable result must
 /// be a function of `i` alone — states built by `make_state()` must be
 /// interchangeable, because which worker's state serves index i depends on
 /// scheduling.
@@ -90,7 +89,7 @@ inline std::size_t worker_state_slots(ThreadPool* pool = nullptr) {
 /// Like `parallel_for_with_state`, but the worker states live in a
 /// caller-owned vector and are built lazily on first use — several
 /// consecutive parallel regions can then share one set of expensive
-/// states (e.g. the selection sweep's evaluator pairs serve both the
+/// states (e.g. the selection sweep's dispatch evaluators serve both the
 /// corner scoring and the multi-start region). `states` must have at
 /// least `worker_state_slots(pool)` entries. The interchangeability rule
 /// of `parallel_for_with_state` applies unchanged.

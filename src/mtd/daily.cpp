@@ -84,7 +84,7 @@ DailyHourOutcome DailyEngine::advance_hour(stats::Rng& rng) {
   ++hour_;
 
   // The per-hour inputs (loads, attacker matrix) change here, so any
-  // evaluator pairs cached from the previous hour are stale.
+  // dispatch evaluators cached from the previous hour are stale.
   worker_cache_.invalidate();
 
   // Apply the hour's loads even when it cannot be keyed: a caller holding
@@ -106,8 +106,8 @@ DailyHourOutcome DailyEngine::advance_hour(stats::Rng& rng) {
   // few percent per hour, so the incumbent is usually near-feasible for
   // the new hour and saves the search most of its exploration budget.
   sel.warm_start = mtd_warm_;
-  // Reuse the per-worker evaluator pairs across the gamma-grid retries of
-  // this hour (they depend only on the hour's loads and attacker matrix).
+  // Reuse the per-worker dispatch evaluators across the gamma-grid retries
+  // of this hour (they depend only on the hour's loads).
   sel.worker_cache = &worker_cache_;
   bool done = false;
   for (std::size_t gi = start_idx_; gi < options_.gamma_grid.size(); ++gi) {

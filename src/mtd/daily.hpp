@@ -80,8 +80,8 @@ struct DailyHourOutcome {
 /// next day while the warm-start state (incumbent perturbation, gamma
 /// grid position) keeps carrying forward.
 ///
-/// The engine reuses per-worker `SpaEvaluator`/`DispatchEvaluator` pairs
-/// across the gamma-grid retries of an hour through a
+/// The engine reuses per-worker `DispatchEvaluator`s across the
+/// gamma-grid retries of an hour through a
 /// `core::WorkerStateCache` (invalidated at each hour boundary) — a pure
 /// speed knob; results are bit-identical with or without the cache, at
 /// any thread count.

@@ -38,16 +38,19 @@ MtdSelectionResult select_mtd_perturbation(const grid::PowerSystem& sys,
   const double penalty = options.penalty_scale * base_opf_cost;
   constexpr double kInfeasiblePenalty = 1e15;
 
-  // Amortized hot-path evaluators: the attacker basis is factorized once
-  // per worker and each candidate costs a rank-k update + one power flow
-  // instead of two SVD-scale factorizations and a simplex solve. One
-  // evaluator pair per pool worker (SelectionWorkerState), built lazily on
-  // first use and SHARED by the corner-scoring and multi-start regions
-  // below — the evaluators hold per-sweep factorizations, so sharing one
-  // across threads is not part of their contract, but reusing a worker's
-  // pair across regions is free. With `options.worker_cache` the same
-  // pairs additionally survive across *calls* with unchanged inputs (the
-  // daily gamma-grid retries); states are interchangeable either way.
+  // Amortized hot-path evaluators. The SPA evaluator is built once per
+  // call and shared by every worker: its gamma() is const, and one
+  // construction keeps the Gram factorization count independent of the
+  // thread count. The dispatch evaluator stays per worker
+  // (SelectionWorkerState) so its atomic counters' cache lines are not
+  // shared; each pool worker builds its own lazily on first use and
+  // reuses it across the corner-scoring and multi-start regions below.
+  // With `options.worker_cache` those states additionally survive across
+  // *calls* with unchanged inputs (the daily gamma-grid retries); states
+  // are interchangeable either way.
+  std::unique_ptr<const SpaEvaluator> spa_eval;
+  if (options.use_fast_path)
+    spa_eval = std::make_unique<const SpaEvaluator>(sys, h_attacker);
   core::WorkerStates<SelectionWorkerState> local_states;
   core::WorkerStates<SelectionWorkerState>& worker_states =
       options.worker_cache != nullptr ? options.worker_cache->slots()
@@ -56,10 +59,8 @@ MtdSelectionResult select_mtd_perturbation(const grid::PowerSystem& sys,
     local_states.resize(core::worker_state_slots());
   const auto make_state = [&] {
     SelectionWorkerState state;
-    if (options.use_fast_path) {
-      state.spa_eval = std::make_unique<SpaEvaluator>(sys, h_attacker);
+    if (options.use_fast_path)
       state.dispatch_eval = std::make_unique<opf::DispatchEvaluator>(sys);
-    }
     return state;
   };
 
@@ -75,8 +76,8 @@ MtdSelectionResult select_mtd_perturbation(const grid::PowerSystem& sys,
                                       : opf::solve_dc_opf(sys, x);
     if (!d.feasible) return kInfeasiblePenalty;
     const double gamma =
-        state.spa_eval ? state.spa_eval->gamma(x)
-                       : spa(h_attacker, grid::measurement_matrix(sys, x));
+        spa_eval ? spa_eval->gamma(x)
+                 : spa(h_attacker, grid::measurement_matrix(sys, x));
     const double deficit =
         options.pin_gamma ? std::abs(options.gamma_threshold - gamma)
                           : std::max(0.0, options.gamma_threshold - gamma);
@@ -114,7 +115,7 @@ MtdSelectionResult select_mtd_perturbation(const grid::PowerSystem& sys,
     };
     // Corner generation stays sequential (it draws from `rng` when the box
     // has more than 8 dimensions); the expensive scoring sweep fans out
-    // across the pool with one evaluator pair per worker.
+    // across the pool with one dispatch evaluator per worker.
     std::vector<ScoredCorner> corners;
     const std::size_t dims = lo.size();
     const std::size_t total =
@@ -144,7 +145,7 @@ MtdSelectionResult select_mtd_perturbation(const grid::PowerSystem& sys,
       starts.push_back(std::move(corners[i].x));
   }
 
-  // One Nelder-Mead run per start, in parallel with per-worker evaluators;
+  // One Nelder-Mead run per start, in parallel with per-worker states;
   // the ordered strict-'<' fold below picks the same winner the sequential
   // start loop would.
   std::vector<opf::DirectSearchResult> results(starts.size());

@@ -12,17 +12,19 @@
 
 namespace mtdgrid::mtd {
 
-/// Per-worker evaluation state of the selection sweep: the SPA and
-/// dispatch evaluators carry factorizations, so each pool worker builds
-/// its own pair instead of sharing. Construction is deterministic — every
-/// worker's pair computes identical objective values, so results do not
-/// depend on which worker served which candidate (the
-/// `core::parallel_for_with_state` contract). Exposed publicly so a
-/// long-lived caller can keep a `core::WorkerStateCache` of these across
-/// repeated `select_mtd_perturbation` calls with unchanged inputs (see
+/// Per-worker evaluation state of the selection sweep: one dispatch
+/// evaluator per pool worker, so the evaluators' instrumentation counters
+/// do not share cache lines. (The SPA evaluator is not in here:
+/// `select_mtd_perturbation` builds one per call and shares it across
+/// workers, which keeps the factorization count independent of the thread
+/// count.) Construction is deterministic — every worker's state computes
+/// identical objective values, so results do not depend on which worker
+/// served which candidate (the `core::parallel_for_with_state` contract).
+/// Exposed publicly so a long-lived caller can keep a
+/// `core::WorkerStateCache` of these across repeated
+/// `select_mtd_perturbation` calls with unchanged inputs (see
 /// `MtdSelectionOptions::worker_cache`).
 struct SelectionWorkerState {
-  std::unique_ptr<SpaEvaluator> spa_eval;          ///< rank-k SPA fast path
   std::unique_ptr<opf::DispatchEvaluator> dispatch_eval;  ///< OPF fast path
 };
 
@@ -42,8 +44,8 @@ struct MtdSelectionOptions {
   /// sweeps, where each point must sit *at* a given gamma; the flat-cost
   /// plateau would otherwise let the optimizer drift to a larger angle.
   bool pin_gamma = false;
-  /// Evaluate candidates through the amortized hot path: incremental
-  /// rank-k SPA updates (`SpaEvaluator`) and the merit-order dispatch
+  /// Evaluate candidates through the amortized hot path: the k x k SPA
+  /// tables of `SpaEvaluator` and the merit-order dispatch
   /// certificate (`DispatchEvaluator`) instead of a fresh SVD pair and
   /// simplex solve per candidate (>=5x at 57-bus scale). The objective
   /// agrees with the reference path to ~1e-12, so this is a speed knob,
@@ -53,15 +55,15 @@ struct MtdSelectionOptions {
   /// `dfacts_branches()` order) added to the start portfolio — e.g. the
   /// previous hour's perturbation in the daily loop. Empty = none.
   linalg::Vector warm_start;
-  /// Optional caller-owned per-worker evaluator cache, reused across
-  /// consecutive `select_mtd_perturbation` calls whose (system, loads,
-  /// `h_attacker`, `use_fast_path`) are all unchanged — the daily loop's
+  /// Optional caller-owned per-worker dispatch-evaluator cache, reused
+  /// across consecutive `select_mtd_perturbation` calls whose (system,
+  /// loads, `use_fast_path`) are all unchanged — the daily loop's
   /// gamma-grid retries within one hour, the daemon's request-scoped
   /// re-keying. The caller must `invalidate()` the cache whenever any of
   /// those inputs changes. States are interchangeable (deterministic
   /// construction), so caching is a pure speed knob: results are
   /// bit-identical with or without it. nullptr (default) builds per-call
-  /// states.
+  /// states. The SPA evaluator is always built per call.
   core::WorkerStateCache<SelectionWorkerState>* worker_cache = nullptr;
 };
 

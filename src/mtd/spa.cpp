@@ -4,9 +4,12 @@
 #include <cmath>
 #include <numbers>
 #include <stdexcept>
+#include <string>
 
 #include "grid/measurement.hpp"
+#include "linalg/lu.hpp"
 #include "linalg/qr.hpp"
+#include "linalg/sparse_cholesky.hpp"
 #include "linalg/subspace.hpp"
 #include "linalg/svd.hpp"
 #include "obs/scope.hpp"
@@ -27,8 +30,7 @@ bool column_spaces_orthogonal(const linalg::Matrix& h_old,
   return smallest_angle(h_old, h_new) >= std::numbers::pi / 2.0 - tol;
 }
 
-template <typename FlowEntry>
-bool SpaEvaluator::recover_reference(const FlowEntry& flow_entry) {
+bool SpaEvaluator::recover_reference(const linalg::SparseMatrix& h) {
   // Try to recognize h_attacker as H(sys, x_ref) for some reactances: each
   // forward-flow row is d_l * (e_from - e_to)^T, so any non-slack endpoint
   // entry reveals d_l.
@@ -42,9 +44,9 @@ bool SpaEvaluator::recover_reference(const FlowEntry& flow_entry) {
     const std::size_t ct = grid::reduced_state_column(sys_, br.to);
     double d = 0.0;
     if (cf < num_buses) {
-      d = flow_entry(l, cf);
+      d = h.coeff(l, cf);
     } else if (ct < num_buses) {
-      d = -flow_entry(l, ct);
+      d = -h.coeff(l, ct);
     }
     if (!(d > 0.0)) return false;
     d_ref_[l] = d;
@@ -53,37 +55,68 @@ bool SpaEvaluator::recover_reference(const FlowEntry& flow_entry) {
   return true;
 }
 
-void SpaEvaluator::build_basis(bool recovered) {
-  if (recovered) {
-    const linalg::QrDecomposition qr(h0_);
-    if (qr.rank() == h0_.cols()) {
-      q0_ = qr.q_thin();
-      r0_ = qr.r();
-      incremental_ = true;
-      return;
-    }
+bool SpaEvaluator::build_tables(const linalg::SparseMatrix& h) {
+  const linalg::SparseCholesky gram(
+      h.weighted_gram(linalg::Vector(h.rows(), 1.0)));
+  if (gram.failed()) return false;
+
+  const std::vector<std::size_t> dfacts = sys_.dfacts_branches();
+  const std::size_t d = dfacts.size();
+  const std::size_t n = h.cols();
+  const std::size_t num_branches = sys_.num_branches();
+  const std::size_t num_buses = sys_.num_buses();
+  dfacts_slot_.assign(num_branches, kNotDfacts);
+
+  // H(x) = H0 + U_D diag(delta) A_D^T: column j of U_D is the 4-sparse
+  // structure vector of branch j (+1 forward flow row, -1 reverse flow
+  // row, +1/-1 at the endpoint injection rows) and column j of A_D its
+  // reduced-incidence vector (+1 from bus, -1 to bus, slack dropped).
+  // Z = (H0^T H0)^{-1} H0^T U_D by one seminormal solve plus one
+  // refinement step; U_perp = U_D - H0 Z; V = H0 (H0^T H0)^{-1} A_D, so
+  // that E = V^T V.
+  linalg::Matrix u_perp(h.rows(), d), v(h.rows(), d);
+  t_ = linalg::Matrix(d, d);
+  std::vector<std::size_t> col_from(d), col_to(d);
+  for (std::size_t j = 0; j < d; ++j) {
+    const grid::Branch& br = sys_.branch(dfacts[j]);
+    col_from[j] = grid::reduced_state_column(sys_, br.from);
+    col_to[j] = grid::reduced_state_column(sys_, br.to);
   }
-  q0_ = linalg::orthonormal_basis_qr(h0_);
+  for (std::size_t j = 0; j < d; ++j) {
+    const std::size_t l = dfacts[j];
+    const grid::Branch& br = sys_.branch(l);
+    dfacts_slot_[l] = j;
+    linalg::Vector u(h.rows());
+    u[l] = 1.0;
+    u[num_branches + l] = -1.0;
+    u[2 * num_branches + br.from] = 1.0;
+    u[2 * num_branches + br.to] = -1.0;
+    linalg::Vector z = gram.solve(h.transpose_times(u));
+    z += gram.solve(h.transpose_times(u - h * z));
+    u_perp.set_col(j, u - h * z);
+    linalg::Vector a(n);
+    if (col_from[j] < num_buses) a[col_from[j]] = 1.0;
+    if (col_to[j] < num_buses) a[col_to[j]] = -1.0;
+    v.set_col(j, h * gram.solve(a));
+    for (std::size_t i = 0; i < d; ++i)
+      t_(i, j) = (col_from[i] < num_buses ? z[col_from[i]] : 0.0) -
+                 (col_to[i] < num_buses ? z[col_to[i]] : 0.0);
+  }
+
+  // C and E are kept as triangular factors of the explicit U_perp and V
+  // (R^T R = C, resp. E). The equivalent C = U^T U - Z^T H0^T H0 Z is a
+  // difference of Grams that cancels every digit as gamma -> 0, and even
+  // exact Grams square the rounding: when a candidate's rotation cancels
+  // to ~0 (a whole D-FACTS cycle scaled uniformly) tan^2 from C and E is
+  // off by ~1e-16 absolute, i.e. gamma by ~1e-8.
+  c_factor_ = linalg::QrDecomposition(u_perp).r();
+  e_factor_ = linalg::QrDecomposition(v).r();
+  return true;
 }
 
 SpaEvaluator::SpaEvaluator(const grid::PowerSystem& sys,
                            const linalg::Matrix& h_attacker)
-    : sys_(sys), h0_(h_attacker) {
-  if (h0_.rows() != grid::measurement_count(sys_) ||
-      h0_.cols() != sys_.num_buses() - 1)
-    throw std::invalid_argument(
-        "SpaEvaluator: h_attacker does not have the system's measurement "
-        "dimensions");
-
-  bool recovered = recover_reference(
-      [&](std::size_t l, std::size_t c) { return h0_(l, c); });
-  if (recovered) {
-    const linalg::Matrix rebuilt = grid::measurement_matrix(sys_, x_ref_);
-    const double scale = std::max(1.0, h0_.max_abs());
-    recovered = linalg::max_abs_diff(rebuilt, h0_) <= 1e-8 * scale;
-  }
-  build_basis(recovered);
-}
+    : SpaEvaluator(sys, linalg::SparseMatrix::from_dense(h_attacker)) {}
 
 SpaEvaluator::SpaEvaluator(const grid::PowerSystem& sys,
                            const linalg::SparseMatrix& h_attacker)
@@ -96,18 +129,18 @@ SpaEvaluator::SpaEvaluator(const grid::PowerSystem& sys,
 
   // Recognition and verification on the sparse entries (O(nnz), no dense
   // intermediate): flow rows hold at most two stored values each.
-  bool recovered = recover_reference([&](std::size_t l, std::size_t c) {
-    return h_attacker.coeff(l, c);
-  });
-  if (recovered) {
-    const linalg::SparseMatrix rebuilt =
+  if (recover_reference(h_attacker)) {
+    const linalg::SparseMatrix h_ref =
         grid::sparse_measurement_matrix(sys_, x_ref_);
     const double scale = std::max(1.0, h_attacker.max_abs());
-    recovered = linalg::max_abs_diff(rebuilt, h_attacker) <= 1e-8 * scale;
+    if (linalg::max_abs_diff(h_ref, h_attacker) <= 1e-8 * scale &&
+        build_tables(h_ref)) {
+      incremental_ = true;
+      return;
+    }
   }
-  // Only the QR basis — dense by nature — materializes the full block.
   h0_ = h_attacker.to_dense();
-  build_basis(recovered);
+  q0_ = linalg::orthonormal_basis_qr(h0_);
 }
 
 double SpaEvaluator::gamma(const linalg::Vector& x) const {
@@ -123,94 +156,52 @@ double SpaEvaluator::gamma(const linalg::Vector& x) const {
   const std::vector<std::size_t> changed =
       grid::changed_branches(x_ref_, x, 1e-12);
   if (changed.empty()) return 0.0;
-  for (std::size_t l : changed)
+  const std::size_t k = changed.size();
+  std::vector<std::size_t> slot(k);
+  linalg::Vector delta(k);
+  for (std::size_t a = 0; a < k; ++a) {
+    const std::size_t l = changed[a];
     if (!(x[l] > 0.0))
       throw std::invalid_argument("SpaEvaluator: reactances must be > 0");
-
-  const std::size_t n = h0_.cols();
-  const std::size_t num_branches = sys_.num_branches();
-  const std::size_t num_buses = sys_.num_buses();
-  const std::size_t k = changed.size();
-
-  // H(x) = H0 + U W^T: column j of U is the (sparse) structure vector of
-  // changed branch l_j — +1 at flow row l, -1 at the reverse row L+l, and
-  // the incidence pattern at the injection rows; column j of W is
-  // delta_j * a_l (the branch's reduced-incidence row).
-  // P = Q0^T U via the 4 nonzero rows of each structure vector.
-  linalg::Matrix p(n, k);
-  for (std::size_t j = 0; j < k; ++j) {
-    const std::size_t l = changed[j];
-    const grid::Branch& br = sys_.branch(l);
-    const std::size_t row_f = 2 * num_branches + br.from;
-    const std::size_t row_t = 2 * num_branches + br.to;
-    for (std::size_t c = 0; c < n; ++c)
-      p(c, j) = q0_(l, c) - q0_(num_branches + l, c) + q0_(row_f, c) -
-                q0_(row_t, c);
+    slot[a] = dfacts_slot_[l];
+    if (slot[a] == kNotDfacts)
+      throw std::invalid_argument("SpaEvaluator: branch " +
+                                  std::to_string(l) +
+                                  " is not a D-FACTS branch");
+    delta[a] = sys_.base_mva() / x[l] - d_ref_[l];
   }
 
-  // U_perp = U - Q0 P, with one re-orthogonalization pass for stability.
-  linalg::Matrix u_perp = q0_ * p;
-  u_perp *= -1.0;
-  for (std::size_t j = 0; j < k; ++j) {
-    const std::size_t l = changed[j];
-    const grid::Branch& br = sys_.branch(l);
-    u_perp(l, j) += 1.0;
-    u_perp(num_branches + l, j) -= 1.0;
-    u_perp(2 * num_branches + br.from, j) += 1.0;
-    u_perp(2 * num_branches + br.to, j) -= 1.0;
-  }
-  const linalg::Matrix p2 = q0_.transpose_times(u_perp);
-  u_perp -= q0_ * p2;
-  p += p2;
-
-  // Orthonormal complement directions introduced by the update (at most k;
-  // fewer when some structure vectors already lie in span[Q0, others]).
-  const linalg::Matrix qu = linalg::orthonormal_column_basis(u_perp);
-  const std::size_t kp = qu.cols();
-  if (kp == 0) return 0.0;  // Col(H(x)) == Col(H0)
-  const linalg::Matrix ru = qu.transpose_times(u_perp);
-
-  // K = [R0 + P W^T; R_u W^T] — H(x) = [Q0 Q_u] K, so the principal angles
-  // between Col(H0) and Col(H(x)) are read off the QR of K alone.
-  linalg::Matrix kmat(n + kp, n);
-  for (std::size_t i = 0; i < n; ++i)
-    for (std::size_t j = i; j < n; ++j) kmat(i, j) = r0_(i, j);
-  for (std::size_t j = 0; j < k; ++j) {
-    const std::size_t l = changed[j];
-    const grid::Branch& br = sys_.branch(l);
-    const double delta = sys_.base_mva() / x[l] - d_ref_[l];
-    const std::size_t cf = grid::reduced_state_column(sys_, br.from);
-    const std::size_t ct = grid::reduced_state_column(sys_, br.to);
-    // w_j = delta * a_l with a_l = +1 at from, -1 at to (slack dropped).
-    if (cf < num_buses) {
-      for (std::size_t i = 0; i < n; ++i) kmat(i, cf) += delta * p(i, j);
-      for (std::size_t i = 0; i < kp; ++i)
-        kmat(n + i, cf) += delta * ru(i, j);
+  // Col(H(x)) is the graph of y -> U_perp (I+S)^{-1} diag(delta) A^T y
+  // over Col(H0), with S = diag(delta) T_cc, so tan(gamma) is that map's
+  // largest singular value: tan(gamma) = sigma_max(R_C (I+S)^{-1} R_E^T)
+  // for any k x k factors R_C^T R_C = C_cc and R_E^T R_E =
+  // diag(delta) E_cc diag(delta) — QR-reduced from the tables' columns.
+  const std::size_t d = c_factor_.rows();
+  linalg::Matrix c_cols(d, k), e_cols(d, k), i_plus_s_t(k, k);
+  for (std::size_t b = 0; b < k; ++b) {
+    for (std::size_t i = 0; i < d; ++i) {
+      c_cols(i, b) = c_factor_(i, slot[b]);
+      e_cols(i, b) = e_factor_(i, slot[b]) * delta[b];
     }
-    if (ct < num_buses) {
-      for (std::size_t i = 0; i < n; ++i) kmat(i, ct) -= delta * p(i, j);
-      for (std::size_t i = 0; i < kp; ++i)
-        kmat(n + i, ct) -= delta * ru(i, j);
-    }
+    for (std::size_t a = 0; a < k; ++a)
+      i_plus_s_t(b, a) =
+          (a == b ? 1.0 : 0.0) + delta[a] * t_(slot[a], slot[b]);
   }
-
-  const linalg::QrDecomposition qk(kmat);
-  const linalg::Matrix& q_small = qk.q_thin();  // (n + kp) x n
-
-  // Q(x) = [Q0 Q_u] Q_small, so (I - Q0 Q0^T) Q(x) = Q_u B with B the
-  // bottom block: the nonzero principal-angle sines are sigma(B).
-  const linalg::Matrix bottom = q_small.block(n, 0, kp, n);
-  const double s =
-      std::clamp(linalg::largest_singular_value(bottom), 0.0, 1.0);
-  if (s * s <= 0.5) return std::asin(s);
-  // Angle above pi/4: the cosine route conditions better. C = Q0^T Q(x) is
-  // the top block of Q_small.
-  const linalg::Matrix top = q_small.block(0, 0, n, n);
-  return std::acos(
-      std::clamp(linalg::smallest_singular_value(top), 0.0, 1.0));
+  const linalg::LuDecomposition lu(i_plus_s_t);
+  // Singular I+S: some state direction of H(x) lies in Col(H0)^perp.
+  if (lu.singular()) return std::numbers::pi / 2.0;
+  const linalg::Matrix rc_solved =  // R_C (I+S)^{-1}
+      lu.solve(linalg::QrDecomposition(c_cols).r().transposed())
+          .transposed();
+  const linalg::Matrix map =
+      rc_solved * linalg::QrDecomposition(e_cols).r().transposed();
+  return std::atan(linalg::largest_singular_value(map));
 }
 
 double SpaEvaluator::gamma_full(const linalg::Matrix& h_new) const {
+  if (incremental_)
+    throw std::logic_error(
+        "SpaEvaluator: gamma_full needs an unrecognized attacker matrix");
   obs::add(obs::Work::kSpaFullEvals);
   if (h_new.rows() != h0_.rows())
     throw std::invalid_argument(

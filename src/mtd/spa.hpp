@@ -1,5 +1,6 @@
 #pragma once
 
+#include <cstddef>
 #include <vector>
 
 #include "grid/power_system.hpp"
@@ -46,25 +47,27 @@ bool column_spaces_orthogonal(const linalg::Matrix& h_old,
 /// Amortized gamma(H_attacker, H(x)) evaluation for the selection hot loop.
 ///
 /// The plain `spa()` call orthonormalizes BOTH matrices and runs a Jacobi
-/// SVD of the full principal-angle core on every invocation — at IEEE
-/// 57-bus scale that is ~8 ms per candidate, and the attacker matrix is
-/// re-factorized thousands of times. This evaluator does the work once:
+/// SVD of the full principal-angle core on every invocation. This
+/// evaluator moves all size-dependent work into its constructor:
 ///
-///  * the attacker basis Q0 and triangular factor R0 are computed at
-///    construction (Householder thin QR);
 ///  * when `h_attacker` is recognized as a measurement matrix of `sys`
-///    (H = S diag(d) A_r for recovered reactances x_ref — true for every
-///    matrix produced by `grid::measurement_matrix`), a candidate x that
-///    changes k branch reactances is handled as the rank-k update
-///    H(x) = H0 + U W^T. The updated orthonormal factor lives in
-///    span[Q0, Q_u] with Q_u spanning only k extra directions, so the
-///    principal angles come from a QR of the small (n+k) x n matrix
-///    [R0 + (Q0^T U) W^T; R_u W^T]: the nonzero angle sines are the
-///    singular values of its bottom k x n block, and no O(M n^2) or
-///    O(n^3)-SVD work is touched. ~20x faster per candidate at 57-bus
-///    scale, with gammas matching `spa()` to ~1e-12 rad.
-///  * otherwise (arbitrary attacker matrix) it falls back to rebuilding
-///    H(x) and reusing the cached Q0 — still ~2x faster than `spa()`.
+///    (H0 = H(x_ref) for recovered reactances x_ref — true for every
+///    matrix produced by `grid::measurement_matrix`), only the d D-FACTS
+///    susceptances ever change, so H(x) = H0 + U_D diag(delta) A_D^T. The
+///    constructor factors the unweighted Gram H0^T H0 once
+///    (`linalg::SparseCholesky`) and keeps three d x d tables:
+///    C = U_perp^T U_perp (U_perp = the part of U_D outside Col(H0)),
+///    T = A_D^T Z and E = A_D^T (H0^T H0)^{-1} A_D, with
+///    Z = (H0^T H0)^{-1} H0^T U_D; C and E are held as triangular factors
+///    of explicit vectors so no digit is lost to squaring as gamma -> 0.
+///    A candidate changing k branches then costs O(k^3) work on k x k
+///    matrices and never touches an M x n or n x n matrix (DESIGN.md
+///    "Rank-k incremental updates"). The gammas match `spa()` to ~1e-13.
+///  * otherwise (arbitrary attacker matrix) it caches the attacker basis
+///    Q0 and rebuilds H(x) per candidate (`gamma_full`).
+///
+/// `gamma` is const and keeps no scratch state, so one evaluator may be
+/// shared by any number of threads.
 class SpaEvaluator {
  public:
   /// `h_attacker` must have the measurement dimensions of `sys`
@@ -72,23 +75,27 @@ class SpaEvaluator {
   SpaEvaluator(const grid::PowerSystem& sys, const linalg::Matrix& h_attacker);
 
   /// Sparse construction path: `h_attacker` in CSR, e.g. from
-  /// `grid::sparse_measurement_matrix`. Reference-reactance recognition
-  /// and its verification run on the O(L + N) stored entries instead of
-  /// the dense M x (N-1) block; only the attacker QR basis Q0 —
-  /// inherently dense — is then materialized. The rank-k gamma() update
-  /// math is shared with the dense constructor unchanged.
+  /// `grid::sparse_measurement_matrix`. Recognition, verification and the
+  /// table construction run on the O(L + N) stored entries; no dense
+  /// M x (N-1) block is materialized unless the matrix is unrecognized.
   SpaEvaluator(const grid::PowerSystem& sys,
                const linalg::SparseMatrix& h_attacker);
 
   /// gamma(h_attacker, H(sys, x)) — the largest-principal-angle SPA metric,
   /// identical (to ~1e-12 rad) to `spa(h_attacker, measurement_matrix(sys,
-  /// x))`. `x` is the full length-L reactance vector, all entries > 0.
+  /// x))`. `x` is the full length-L reactance vector, all entries > 0. In
+  /// incremental mode `x` may differ from the reference reactances only on
+  /// D-FACTS branches; any other changed branch throws
+  /// std::invalid_argument("SpaEvaluator: branch <l> is not a D-FACTS
+  /// branch").
   double gamma(const linalg::Vector& x) const;
 
   /// gamma against an explicit post-perturbation matrix (cached-Q0 path).
+  /// Only available when `!incremental()`; throws std::logic_error
+  /// otherwise, since the incremental mode keeps no attacker basis.
   double gamma_full(const linalg::Matrix& h_new) const;
 
-  /// True when the rank-k incremental path is active (h_attacker was
+  /// True when the k x k incremental path is active (h_attacker was
   /// recognized as a measurement matrix of the system).
   bool incremental() const { return incremental_; }
 
@@ -97,22 +104,28 @@ class SpaEvaluator {
   const linalg::Vector& reference_reactances() const { return x_ref_; }
 
  private:
-  /// Shared tail of both constructors: thin-QR factorization of h0_ (the
-  /// incremental path when `recovered`, the cached-Q0 fallback otherwise).
-  void build_basis(bool recovered);
+  static constexpr std::size_t kNotDfacts = static_cast<std::size_t>(-1);
 
-  /// Recovers x_ref/d_ref from the forward-flow rows; `flow_entry(l, c)`
-  /// reads H(l, c). Returns false when any branch yields no positive
-  /// susceptance.
-  template <typename FlowEntry>
-  bool recover_reference(const FlowEntry& flow_entry);
+  /// Recovers x_ref/d_ref from the forward-flow rows of `h`. Returns false
+  /// when any branch yields no positive susceptance.
+  bool recover_reference(const linalg::SparseMatrix& h);
+
+  /// Builds C, T, E and the D-FACTS slot map from `h` = H(x_ref). Returns
+  /// false when H^T H is not positive definite.
+  bool build_tables(const linalg::SparseMatrix& h);
 
   grid::PowerSystem sys_;       // value copy: the evaluator owns its model
-  linalg::Matrix h0_;           // attacker matrix
-  linalg::Matrix q0_;           // orthonormal basis of Col(h0)
-  linalg::Matrix r0_;           // triangular factor (incremental mode only)
   linalg::Vector x_ref_;        // recovered reference reactances
   linalg::Vector d_ref_;        // susceptances at x_ref
+  // Incremental mode: branch -> D-FACTS slot (kNotDfacts otherwise) and
+  // the d x d tables indexed by slot.
+  std::vector<std::size_t> dfacts_slot_;
+  linalg::Matrix c_factor_;     // R_C: R_C^T R_C = C = U_perp^T U_perp
+  linalg::Matrix t_;            // T = A_D^T Z
+  linalg::Matrix e_factor_;     // R_E: R_E^T R_E = E = A_D^T (H0^T H0)^{-1} A_D
+  // Fallback mode: the attacker matrix and an orthonormal basis of it.
+  linalg::Matrix h0_;
+  linalg::Matrix q0_;
   bool incremental_ = false;
 };
 

@@ -99,7 +99,7 @@ ZoneSelectionResult select_mtd_zones(const grid::PowerSystem& sys,
   // The full-model boundary check: the attacker's matrix is the nominal
   // full-network H, built sparse (O(L + N) entries) so mega-grid
   // construction stays tractable; the stitched candidates then ride the
-  // rank-k incremental gamma path.
+  // k x k incremental gamma path.
   const SpaEvaluator full_eval(sys, grid::sparse_measurement_matrix(sys));
 
   ZoneSelectionResult result;

@@ -5,6 +5,7 @@
 #include <cmath>
 #include <numbers>
 
+#include "linalg/qr.hpp"
 #include "stats/rng.hpp"
 #include "test_util.hpp"
 
@@ -33,6 +34,31 @@ TEST(SubspaceTest, KnownRotationAngle) {
   Matrix a{{1.0}, {0.0}};
   Matrix b{{std::cos(t)}, {std::sin(t)}};
   EXPECT_NEAR(smallest_principal_angle(a, b), t, 1e-12);
+}
+
+TEST(SubspaceTest, LargestAngleResolvesTinyAnalyticAngle) {
+  // A fixed random rotation Q of R^6 applied to span{e1, e2, e3} and
+  // span{e1, e2, cos t * e3 + sin t * e4}: angles {0, 0, t}. The cosine
+  // route reads 1 - t^2/2 = 1 to machine precision and loses t entirely;
+  // the sine route recovers it to rounding.
+  const double t = 1e-9;
+  stats::Rng rng(41);
+  const Matrix q = orthonormal_column_basis(test::random_matrix(6, 6, rng));
+  ASSERT_EQ(q.cols(), 6u);
+  Matrix a_local(6, 3), b_local(6, 3);
+  for (std::size_t j = 0; j < 3; ++j) a_local(j, j) = 1.0;
+  b_local(0, 0) = 1.0;
+  b_local(1, 1) = 1.0;
+  b_local(2, 2) = std::cos(t);
+  b_local(3, 2) = std::sin(t);
+  const Matrix a = q * a_local;
+  const Matrix b = q * b_local;
+  EXPECT_NEAR(largest_principal_angle(a, b), t, 1e-14);
+  EXPECT_NEAR(largest_principal_angle_qr(a, b), t, 1e-14);
+  EXPECT_NEAR(largest_principal_angle(b, a), t, 1e-14);
+  // Uneven ranks: the residual of the smaller basis carries the sines.
+  EXPECT_NEAR(largest_principal_angle(a, b.block(0, 2, 6, 1)), t, 1e-14);
+  EXPECT_NEAR(largest_principal_angle(b.block(0, 2, 6, 1), a), t, 1e-14);
 }
 
 TEST(SubspaceTest, PlaneVsRotatedPlaneMixedAngles) {

@@ -2,9 +2,14 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdint>
+#include <vector>
+
+#include "core/thread_pool.hpp"
 #include "grid/cases.hpp"
 #include "grid/measurement.hpp"
 #include "mtd/spa.hpp"
+#include "obs/scope.hpp"
 #include "opf/dc_opf.hpp"
 
 namespace mtdgrid::mtd {
@@ -175,6 +180,30 @@ TEST(SelectionTest, WarmStartFromIncumbentIsAccepted) {
       f.sys, f.h_attacker, f.base_cost, warm, rng);
   EXPECT_TRUE(second.feasible);
   EXPECT_GE(second.spa, 0.2 - 2e-3);
+}
+
+TEST(SelectionTest, GramFactorizationCountIsThreadCountInvariant) {
+  // One SPA evaluator per call, shared by every worker: the sparse Gram
+  // factorization count must not depend on how many workers the pool has
+  // (campaign and daemon transcripts byte-diff this counter at 1 vs 8
+  // threads).
+  Fixture f;
+  std::vector<std::uint64_t> counts;
+  for (const std::size_t threads : {1, 8}) {
+    core::ThreadPool::set_global_num_threads(threads);
+    obs::MetricsRegistry reg;
+    {
+      obs::ScopedRegistry scope(&reg);
+      stats::Rng rng(21);
+      select_mtd_perturbation(f.sys, f.h_attacker, f.base_cost,
+                              f.fast_options(0.2), rng);
+    }
+    counts.push_back(reg.work_snapshot()[static_cast<std::size_t>(
+        obs::Work::kCholeskyFactorizations)]);
+  }
+  core::ThreadPool::set_global_num_threads(0);  // restore the default
+  EXPECT_EQ(counts[0], counts[1]);
+  EXPECT_EQ(counts[0], 1u);
 }
 
 }  // namespace

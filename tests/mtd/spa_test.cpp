@@ -6,6 +6,9 @@
 #include <cmath>
 #include <numbers>
 #include <stdexcept>
+#include <string>
+#include <thread>
+#include <vector>
 
 #include "attack/fdi_attack.hpp"
 #include "estimation/state_estimator.hpp"
@@ -258,6 +261,84 @@ TEST(SpaEvaluatorTest, ArbitraryAttackerMatrixFallsBackAndStillMatches) {
               1e-10);
 }
 
+TEST(SpaEvaluatorTest, RejectsChangedNonDfactsBranch) {
+  // The k x k tables cover only the D-FACTS branches; a candidate moving
+  // any other branch is a caller bug and gets a pinned error.
+  const grid::PowerSystem sys = grid::make_case14();
+  const SpaEvaluator eval(sys, grid::measurement_matrix(sys));
+  ASSERT_TRUE(eval.incremental());
+  const auto dfacts = sys.dfacts_branches();
+  std::size_t other = 0;
+  while (std::find(dfacts.begin(), dfacts.end(), other) != dfacts.end())
+    ++other;
+  linalg::Vector x = sys.reactances();
+  x[other] *= 1.1;
+  try {
+    eval.gamma(x);
+    FAIL() << "expected std::invalid_argument";
+  } catch (const std::invalid_argument& e) {
+    EXPECT_EQ(std::string(e.what()), "SpaEvaluator: branch " +
+                                         std::to_string(other) +
+                                         " is not a D-FACTS branch");
+  }
+  EXPECT_THROW(eval.gamma_full(grid::measurement_matrix(sys, x)),
+               std::logic_error);
+}
+
+TEST(SpaEvaluatorTest, UniformScalingOfDfactsCycleGivesZero) {
+  // Every case4 branch carries D-FACTS and the four form a cycle: scaling
+  // all of them by one factor scales H, so gamma is exactly 0. The
+  // rotation cancels between the C and E tables here; forming tan^2 from
+  // the Grams instead of their factors reads ~4e-9 at 0.8/1.2 and ~5e-5
+  // at 1e4 (where I+S has condition ~1e4).
+  const grid::PowerSystem sys = grid::make_case4();
+  const SpaEvaluator eval(sys, grid::measurement_matrix(sys));
+  ASSERT_TRUE(eval.incremental());
+  for (const double factor : {0.8, 1.2, 1e4}) {
+    linalg::Vector x = sys.reactances();
+    for (std::size_t l : sys.dfacts_branches()) x[l] *= factor;
+    EXPECT_LE(eval.gamma(x), 1e-11) << "factor " << factor;
+  }
+}
+
+TEST(SpaEvaluatorTest, SharedEvaluatorIsBitIdenticalAcrossThreads) {
+  // gamma() is const with no scratch state: eight threads hammering one
+  // evaluator must reproduce the serial values bit for bit.
+  const grid::PowerSystem sys = grid::make_case57();
+  const SpaEvaluator eval(sys, grid::measurement_matrix(sys));
+  ASSERT_TRUE(eval.incremental());
+  stats::Rng rng(77);
+  const linalg::Vector lo = sys.reactance_lower_limits();
+  const linalg::Vector hi = sys.reactance_upper_limits();
+  std::vector<linalg::Vector> xs;
+  for (int t = 0; t < 32; ++t) {
+    linalg::Vector x = sys.reactances();
+    for (std::size_t l : sys.dfacts_branches())
+      if (rng.uniform() < 0.7) x[l] = rng.uniform(lo[l], hi[l]);
+    xs.push_back(std::move(x));
+  }
+  std::vector<double> serial;
+  for (const linalg::Vector& x : xs) serial.push_back(eval.gamma(x));
+
+  constexpr std::size_t kThreads = 8;
+  std::vector<std::vector<double>> parallel(kThreads,
+                                            std::vector<double>(xs.size()));
+  std::vector<std::thread> threads;
+  for (std::size_t t = 0; t < kThreads; ++t)
+    threads.emplace_back([&, t] {
+      // Each thread walks the candidates from a different offset so the
+      // calls genuinely interleave.
+      for (std::size_t i = 0; i < xs.size(); ++i) {
+        const std::size_t c = (i + 4 * t) % xs.size();
+        parallel[t][c] = eval.gamma(xs[c]);
+      }
+    });
+  for (std::thread& th : threads) th.join();
+  for (std::size_t t = 0; t < kThreads; ++t)
+    for (std::size_t i = 0; i < xs.size(); ++i)
+      EXPECT_EQ(parallel[t][i], serial[i]) << "thread " << t << " x " << i;
+}
+
 TEST(SpaEvaluatorTest, RejectsWrongDimensions) {
   const grid::PowerSystem sys = grid::make_case14();
   EXPECT_THROW(SpaEvaluator(sys, linalg::Matrix(3, 2)),
@@ -287,8 +368,8 @@ TEST(SpaEvaluatorSparseTest, SparseConstructionEntersIncrementalMode) {
       if (rng.uniform() < 0.7) x[l] = rng.uniform(lo[l], hi[l]);
     const double reference = spa(h0, grid::measurement_matrix(sys, x));
     EXPECT_NEAR(sparse_eval.gamma(x), reference, 1e-10);
-    // Sparse and dense construction share the exact same H0, so their
-    // gammas agree bit for bit.
+    // The dense constructor compresses to CSR and takes the same path, so
+    // the gammas agree bit for bit.
     EXPECT_EQ(sparse_eval.gamma(x), dense_eval.gamma(x));
   }
   EXPECT_EQ(sparse_eval.gamma(sys.reactances()), 0.0);

@@ -44,8 +44,8 @@ Context make_context() {
   mtd::MtdSelectionOptions sel;
   sel.gamma_threshold = 0.25;
   sel.extra_starts = 4;
-  const mtd::MtdSelectionResult r =
-      mtd::select_mtd_perturbation(c.sys, c.h0, c.base_cost, sel, rng);
+  const mtd::MtdSelectionResult r = mtd::select_mtd_perturbation(
+      c.sys, c.sys.reactances(), c.base_cost, sel, rng);
   c.x_mtd = r.reactances;
   c.h_mtd = r.h_mtd;
   c.z_ref = grid::noiseless_measurements(c.sys, r.reactances,
@@ -67,8 +67,8 @@ void ablate_multistart(const Context& c) {
       sel.gamma_threshold = gth;
       sel.extra_starts = starts;
       sel.search.max_evaluations = 800;
-      const auto r =
-          mtd::select_mtd_perturbation(c.sys, c.h0, c.base_cost, sel, rng);
+      const auto r = mtd::select_mtd_perturbation(
+          c.sys, c.sys.reactances(), c.base_cost, sel, rng);
       std::printf("  %-8d %-10.2f %10s %10.3f %11.3f%%\n", starts, gth,
                   r.feasible ? "yes" : "no", r.spa,
                   100.0 * std::max(0.0, r.cost_increase));
@@ -145,8 +145,8 @@ void ablate_pinning(const Context& c) {
       sel.pin_gamma = pin;
       sel.extra_starts = 3;
       sel.search.max_evaluations = 800;
-      const auto r =
-          mtd::select_mtd_perturbation(c.sys, c.h0, c.base_cost, sel, rng);
+      const auto r = mtd::select_mtd_perturbation(
+          c.sys, c.sys.reactances(), c.base_cost, sel, rng);
       std::printf("  %-10s %-10.2f %10.3f %11.3f%%\n",
                   pin ? "pinned" : "deficit", gth, r.spa,
                   100.0 * std::max(0.0, r.cost_increase));

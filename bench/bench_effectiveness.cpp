@@ -121,7 +121,8 @@ void run_figure(const grid::PowerSystem& sys_in,
       sel.extra_starts = bench::extra_starts_for(scale);
       sel.search.max_evaluations = bench::search_evals_for(scale);
       const mtd::MtdSelectionResult r =
-          mtd::select_mtd_perturbation(sys, h0, base.cost, sel, rng);
+          mtd::select_mtd_perturbation(sys, sys.reactances(), base.cost, sel,
+                                       rng);
       if (r.feasible) x = r.reactances;
     } else {
       x = perturbation_with_gamma(sys, h0, gamma_target, rng);

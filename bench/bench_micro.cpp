@@ -224,9 +224,8 @@ BENCHMARK(BM_Case57SelectionLoopSvd)->Unit(benchmark::kMillisecond);
 
 void BM_Case57SelectionLoopFast(benchmark::State& state) {
   const grid::PowerSystem sys = grid::make_case57();
-  const linalg::Matrix h0 = grid::measurement_matrix(sys);
   const auto candidates = selection_candidates(sys, kSelectionSweep);
-  const mtd::SpaEvaluator spa_eval(sys, h0);
+  const mtd::SpaEvaluator spa_eval(sys, sys.reactances());
   const opf::DispatchEvaluator dispatch_eval(sys);
   for (auto _ : state) {
     double acc = 0.0;
@@ -246,9 +245,8 @@ void BM_Case118SelectionLoopFast(benchmark::State& state) {
   // measurement model, loaded through the io subsystem). Guarded in CI
   // against bench/baseline.json like the case57 loops.
   const grid::PowerSystem sys = grid::make_case118();
-  const linalg::Matrix h0 = grid::measurement_matrix(sys);
   const auto candidates = selection_candidates(sys, kSelectionSweep);
-  const mtd::SpaEvaluator spa_eval(sys, h0);
+  const mtd::SpaEvaluator spa_eval(sys, sys.reactances());
   const opf::DispatchEvaluator dispatch_eval(sys);
   for (auto _ : state) {
     double acc = 0.0;
@@ -292,8 +290,7 @@ BENCHMARK(BM_ZoneSelectionCase118x9)
 
 void BM_SpaIncremental(benchmark::State& state) {
   const grid::PowerSystem sys = system_for(static_cast<int>(state.range(0)));
-  const linalg::Matrix h0 = grid::measurement_matrix(sys);
-  const mtd::SpaEvaluator eval(sys, h0);
+  const mtd::SpaEvaluator eval(sys, sys.reactances());
   linalg::Vector x = sys.reactances();
   for (std::size_t l : sys.dfacts_branches()) x[l] *= 1.3;
   for (auto _ : state) {

@@ -99,11 +99,12 @@ int main(int argc, char** argv) {
   std::printf("Auditing a +/-2%% random keyspace of %d members on %s...\n\n",
               keyspace_size, sys.name().c_str());
   // Batched evaluation: one shared attack sample scores every keyspace
-  // member (paired comparison), and the cached-basis SPA evaluator avoids
-  // re-factorizing H0 per member. Members are materialized in bounded
+  // member (paired comparison), and the SPA evaluator, keyed by the
+  // nominal reactances, scores each member from its k x k tables without
+  // factoring H0 again. Members are materialized in bounded
   // chunks; re-seeding the attack rng per chunk keeps the sample identical
   // across chunks (the analytic method draws rng only for the attacks).
-  const mtd::SpaEvaluator spa_eval(sys, h0);
+  const mtd::SpaEvaluator spa_eval(sys, sys.reactances());
   constexpr int kChunk = 256;
   constexpr std::uint64_t kAttackSeed = 424242;
   std::vector<double> etas;
@@ -153,7 +154,8 @@ int main(int argc, char** argv) {
   sel.gamma_threshold = 0.25;
   sel.extra_starts = 4;
   const mtd::MtdSelectionResult designed =
-      mtd::select_mtd_perturbation(sys, h0, base.cost, sel, rng);
+      mtd::select_mtd_perturbation(sys, sys.reactances(), base.cost, sel,
+                                   rng);
   const linalg::Vector z_mtd = grid::noiseless_measurements(
       sys, designed.reactances, designed.dispatch.theta_reduced);
   const auto designed_eff =

@@ -60,7 +60,8 @@ int main(int argc, char** argv) {
   mtd::MtdSelectionOptions options;
   options.gamma_threshold = 0.2;  // radians; see the Fig. 9 tradeoff
   const mtd::MtdSelectionResult defense =
-      mtd::select_mtd_perturbation(sys, h, base.cost, options, rng);
+      mtd::select_mtd_perturbation(sys, sys.reactances(), base.cost, options,
+                                   rng);
   std::printf("MTD perturbation: gamma(H, H') = %.3f rad, OPF cost "
               "$%.2f/h (+%.3f%%)\n",
               defense.spa, defense.opf_cost,

@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <atomic>
 #include <cstddef>
-#include <memory>
 #include <utility>
 #include <vector>
 
@@ -48,10 +47,13 @@ void parallel_for(std::size_t count, Fn&& fn, ThreadPool* pool = nullptr) {
 /// `parallel_for` with per-worker state: each worker evaluates
 /// `make_state()` once and passes the result to every task it claims —
 /// for scratch that is expensive to rebuild per task or unsafe to share
-/// across threads (`opf::DispatchEvaluator`, simplex workspaces). Determinism rule: `fn(state, i)`'s observable result must
-/// be a function of `i` alone — states built by `make_state()` must be
-/// interchangeable, because which worker's state serves index i depends on
-/// scheduling.
+/// across threads (the Monte-Carlo detector's measurement buffer).
+/// Determinism rule: `fn(state, i)`'s observable result must be a function
+/// of `i` alone — states built by `make_state()` must be interchangeable,
+/// because which worker's state serves index i depends on scheduling.
+/// Const, thread-safe evaluators (`mtd::SpaEvaluator`,
+/// `opf::DispatchEvaluator`) need no per-worker copy: build one and share
+/// it through plain `parallel_for`.
 template <typename MakeState, typename Fn>
 void parallel_for_with_state(std::size_t count, MakeState&& make_state,
                              Fn&& fn, ThreadPool* pool = nullptr) {
@@ -74,91 +76,6 @@ void parallel_for_with_state(std::size_t count, MakeState&& make_state,
     }
   });
 }
-
-/// Caller-owned per-worker state for `parallel_for_with_shared_state`:
-/// size it with `worker_state_slots(pool)`; entries start empty and are
-/// filled lazily, one per worker, on first use.
-template <typename State>
-using WorkerStates = std::vector<std::unique_ptr<State>>;
-
-/// Number of state slots to allocate for a (possibly defaulted) pool.
-inline std::size_t worker_state_slots(ThreadPool* pool = nullptr) {
-  return (pool != nullptr ? *pool : ThreadPool::global()).num_threads();
-}
-
-/// Like `parallel_for_with_state`, but the worker states live in a
-/// caller-owned vector and are built lazily on first use — several
-/// consecutive parallel regions can then share one set of expensive
-/// states (e.g. the selection sweep's dispatch evaluators serve both the
-/// corner scoring and the multi-start region). `states` must have at
-/// least `worker_state_slots(pool)` entries. The interchangeability rule
-/// of `parallel_for_with_state` applies unchanged.
-template <typename State, typename MakeState, typename Fn>
-void parallel_for_with_shared_state(std::size_t count,
-                                    WorkerStates<State>& states,
-                                    MakeState&& make_state, Fn&& fn,
-                                    ThreadPool* pool = nullptr) {
-  obs::add(obs::Work::kPoolRegions);
-  obs::add(obs::Work::kPoolTasks, count);
-  ThreadPool& p = pool != nullptr ? *pool : ThreadPool::global();
-  const std::size_t workers = std::min(p.num_threads(), count);
-  const auto state_for = [&](std::size_t slot) -> State& {
-    if (!states[slot]) states[slot] = std::make_unique<State>(make_state());
-    return *states[slot];
-  };
-  if (workers <= 1 || ThreadPool::in_parallel_region()) {
-    State& state = state_for(0);
-    for (std::size_t i = 0; i < count; ++i) fn(state, i);
-    return;
-  }
-  std::atomic<std::size_t> next{0};
-  p.run(workers, [&](std::size_t worker) {
-    State& state = state_for(worker);
-    for (;;) {
-      const std::size_t i = next.fetch_add(1, std::memory_order_relaxed);
-      if (i >= count) break;
-      fn(state, i);
-    }
-  });
-}
-
-/// Caller-owned cache of per-worker states that outlives individual
-/// parallel calls — the "request-scoped worker-state reuse" layer behind
-/// long-lived loops (the daily re-keying engine, the serving daemon):
-/// several `parallel_for_with_shared_state` call *sites* in several calls
-/// to the same API can share one set of expensive states (evaluator
-/// pairs, factorizations) as long as the inputs those states were built
-/// from have not changed. The owner calls `invalidate()` whenever they do
-/// (new hour, new attacker matrix, new loads); `slots()` transparently
-/// re-sizes when the global pool size changed between calls. States obey
-/// the interchangeability rule of `parallel_for_with_state` unchanged, so
-/// reuse is a pure speed knob — results are bit-identical with or without
-/// a cache, at any thread count.
-template <typename State>
-class WorkerStateCache {
- public:
-  /// Drops every cached state; the next `slots()` hands out empty slots
-  /// that the parallel region refills lazily. Call on any change to the
-  /// inputs the states depend on.
-  void invalidate() {
-    for (std::unique_ptr<State>& s : states_) s.reset();
-  }
-
-  /// The per-worker state slots, sized for the given (default: global)
-  /// pool. A pool-size change invalidates implicitly — slot k must always
-  /// belong to worker k of the *current* pool.
-  WorkerStates<State>& slots(ThreadPool* pool = nullptr) {
-    const std::size_t n = worker_state_slots(pool);
-    if (states_.size() != n) {
-      states_.clear();
-      states_.resize(n);
-    }
-    return states_;
-  }
-
- private:
-  WorkerStates<State> states_;
-};
 
 /// Evaluates `fn(i) -> T` for every index in parallel and returns the
 /// results ordered by task index. The index-ordered output (not the

@@ -66,7 +66,6 @@ DailyEngine::DailyEngine(grid::PowerSystem sys, grid::DailyLoadTrace trace,
     base_[h].reactances = opf::expand_dfacts_reactances(sys_, r.x);
     const opf::DispatchResult d = opf::solve_dc_opf(sys_, base_[h].reactances);
     base_[h].feasible = d.feasible;
-    base_[h].h = grid::measurement_matrix(sys_, base_[h].reactances);
     base_[h].cost = d.cost;
   }
 }
@@ -83,10 +82,6 @@ DailyHourOutcome DailyEngine::advance_hour(stats::Rng& rng) {
   rec.total_load_mw = trace_.total_mw(h);
   ++hour_;
 
-  // The per-hour inputs (loads, attacker matrix) change here, so any
-  // dispatch evaluators cached from the previous hour are stale.
-  worker_cache_.invalidate();
-
   // Apply the hour's loads even when it cannot be keyed: a caller holding
   // an earlier key re-dispatches against `system()` at this hour's loads.
   trace_.apply(sys_, h, base_loads_);
@@ -94,7 +89,10 @@ DailyHourOutcome DailyEngine::advance_hour(stats::Rng& rng) {
   if (!base_[h].feasible || !base_[prev].feasible) return out;
   rec.base_opf_cost = base_[h].cost;
 
-  const linalg::Matrix& h_attacker = base_[prev].h;
+  const linalg::Vector& x_attacker = base_[prev].reactances;
+  const linalg::Matrix h_attacker = grid::measurement_matrix(sys_, x_attacker);
+  const linalg::Matrix h_now =
+      grid::measurement_matrix(sys_, base_[h].reactances);
 
   MtdSelectionOptions sel = options_.selection;
   // Pin the achieved SPA at gamma_th: minimizing cost over the flat-cost
@@ -106,14 +104,11 @@ DailyHourOutcome DailyEngine::advance_hour(stats::Rng& rng) {
   // few percent per hour, so the incumbent is usually near-feasible for
   // the new hour and saves the search most of its exploration budget.
   sel.warm_start = mtd_warm_;
-  // Reuse the per-worker dispatch evaluators across the gamma-grid retries
-  // of this hour (they depend only on the hour's loads).
-  sel.worker_cache = &worker_cache_;
   bool done = false;
   for (std::size_t gi = start_idx_; gi < options_.gamma_grid.size(); ++gi) {
     sel.gamma_threshold = options_.gamma_grid[gi];
     MtdSelectionResult res =
-        select_mtd_perturbation(sys_, h_attacker, base_[h].cost, sel, rng);
+        select_mtd_perturbation(sys_, x_attacker, base_[h].cost, sel, rng);
     if (!res.feasible) continue;
     mtd_warm_ = linalg::Vector(dfacts_.size());
     for (std::size_t k = 0; k < dfacts_.size(); ++k)
@@ -133,9 +128,9 @@ DailyHourOutcome DailyEngine::advance_hour(stats::Rng& rng) {
     // the warm-started hourly baseline was not polished to the global
     // optimum, so report "no additional cost".
     rec.cost_increase_pct = std::max(0.0, 100.0 * res.cost_increase);
-    rec.gamma_ht_htp = spa(h_attacker, base_[h].h);
+    rec.gamma_ht_htp = spa(h_attacker, h_now);
     rec.gamma_ht_hmtd = res.spa;
-    rec.gamma_htp_hmtd = spa(base_[h].h, res.h_mtd);
+    rec.gamma_htp_hmtd = spa(h_now, res.h_mtd);
     rec.eta_at_target = er.eta[0];
     rec.feasible = true;
 

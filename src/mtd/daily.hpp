@@ -3,7 +3,6 @@
 #include <cstddef>
 #include <vector>
 
-#include "core/parallel.hpp"
 #include "grid/load_trace.hpp"
 #include "grid/power_system.hpp"
 #include "linalg/matrix.hpp"
@@ -80,11 +79,9 @@ struct DailyHourOutcome {
 /// next day while the warm-start state (incumbent perturbation, gamma
 /// grid position) keeps carrying forward.
 ///
-/// The engine reuses per-worker `DispatchEvaluator`s across the
-/// gamma-grid retries of an hour through a
-/// `core::WorkerStateCache` (invalidated at each hour boundary) — a pure
-/// speed knob; results are bit-identical with or without the cache, at
-/// any thread count.
+/// The attacker's key is the previous hour's no-MTD reactance vector;
+/// `advance_hour` builds the two dense H that the effectiveness
+/// evaluation and the reported `spa()` values need.
 ///
 /// \see serve::MtdDaemon for the serving layer built on this engine
 /// (DESIGN.md "Serving architecture").
@@ -121,7 +118,6 @@ class DailyEngine {
  private:
   struct BaseHour {
     linalg::Vector reactances;
-    linalg::Matrix h;
     double cost = 0.0;
     bool feasible = false;
   };
@@ -132,7 +128,6 @@ class DailyEngine {
   linalg::Vector base_loads_;
   std::vector<std::size_t> dfacts_;
   std::vector<BaseHour> base_;
-  core::WorkerStateCache<SelectionWorkerState> worker_cache_;
   linalg::Vector mtd_warm_;     // previous hour's D-FACTS perturbation
   std::size_t start_idx_ = 0;   // gamma grid warm-start position
   std::size_t hour_ = 0;        // absolute virtual-clock hour

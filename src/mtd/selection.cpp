@@ -1,9 +1,7 @@
 #include "mtd/selection.hpp"
 
 #include <algorithm>
-#include <cassert>
 #include <cmath>
-#include <memory>
 #include <stdexcept>
 
 #include "core/parallel.hpp"
@@ -14,7 +12,7 @@
 namespace mtdgrid::mtd {
 
 MtdSelectionResult select_mtd_perturbation(const grid::PowerSystem& sys,
-                                           const linalg::Matrix& h_attacker,
+                                           const linalg::Vector& x_attacker,
                                            double base_opf_cost,
                                            const MtdSelectionOptions& options,
                                            stats::Rng& rng) {
@@ -38,46 +36,19 @@ MtdSelectionResult select_mtd_perturbation(const grid::PowerSystem& sys,
   const double penalty = options.penalty_scale * base_opf_cost;
   constexpr double kInfeasiblePenalty = 1e15;
 
-  // Amortized hot-path evaluators. The SPA evaluator is built once per
-  // call and shared by every worker: its gamma() is const, and one
-  // construction keeps the Gram factorization count independent of the
-  // thread count. The dispatch evaluator stays per worker
-  // (SelectionWorkerState) so its atomic counters' cache lines are not
-  // shared; each pool worker builds its own lazily on first use and
-  // reuses it across the corner-scoring and multi-start regions below.
-  // With `options.worker_cache` those states additionally survive across
-  // *calls* with unchanged inputs (the daily gamma-grid retries); states
-  // are interchangeable either way.
-  std::unique_ptr<const SpaEvaluator> spa_eval;
-  if (options.use_fast_path)
-    spa_eval = std::make_unique<const SpaEvaluator>(sys, h_attacker);
-  core::WorkerStates<SelectionWorkerState> local_states;
-  core::WorkerStates<SelectionWorkerState>& worker_states =
-      options.worker_cache != nullptr ? options.worker_cache->slots()
-                                      : local_states;
-  if (options.worker_cache == nullptr)
-    local_states.resize(core::worker_state_slots());
-  const auto make_state = [&] {
-    SelectionWorkerState state;
-    if (options.use_fast_path)
-      state.dispatch_eval = std::make_unique<opf::DispatchEvaluator>(sys);
-    return state;
-  };
+  // One evaluator pair per call, shared by every worker: both are const
+  // and thread-safe, and one construction keeps the Gram factorization
+  // count independent of the thread count.
+  const SpaEvaluator spa_eval(sys, x_attacker);
+  const opf::DispatchEvaluator dispatch_eval(sys);
 
   // Penalized objective: dispatch cost + quadratic penalty on the unmet
   // part of the SPA constraint (exact for a large enough multiplier).
-  // Evaluated through a worker's own state; identical states give
-  // identical values, so the objective is a pure function of dfacts_x.
-  const auto objective_with = [&](const SelectionWorkerState& state,
-                                  const linalg::Vector& dfacts_x) {
+  const auto objective = [&](const linalg::Vector& dfacts_x) {
     const linalg::Vector x = opf::expand_dfacts_reactances(sys, dfacts_x);
-    const opf::DispatchResult d = state.dispatch_eval
-                                      ? state.dispatch_eval->evaluate(x)
-                                      : opf::solve_dc_opf(sys, x);
+    const opf::DispatchResult d = dispatch_eval.evaluate(x);
     if (!d.feasible) return kInfeasiblePenalty;
-    const double gamma =
-        spa_eval ? spa_eval->gamma(x)
-                 : spa(h_attacker, grid::measurement_matrix(sys, x));
+    const double gamma = spa_eval.gamma(x);
     const double deficit =
         options.pin_gamma ? std::abs(options.gamma_threshold - gamma)
                           : std::max(0.0, options.gamma_threshold - gamma);
@@ -115,7 +86,7 @@ MtdSelectionResult select_mtd_perturbation(const grid::PowerSystem& sys,
     };
     // Corner generation stays sequential (it draws from `rng` when the box
     // has more than 8 dimensions); the expensive scoring sweep fans out
-    // across the pool with one dispatch evaluator per worker.
+    // across the pool.
     std::vector<ScoredCorner> corners;
     const std::size_t dims = lo.size();
     const std::size_t total =
@@ -129,11 +100,9 @@ MtdSelectionResult select_mtd_perturbation(const grid::PowerSystem& sys,
       }
       corners.push_back({0.0, std::move(corner)});
     }
-    core::parallel_for_with_shared_state(
-        corners.size(), worker_states, make_state,
-        [&](SelectionWorkerState& state, std::size_t c) {
-          corners[c].score = objective_with(state, corners[c].x);
-        });
+    core::parallel_for(corners.size(), [&](std::size_t c) {
+      corners[c].score = objective(corners[c].x);
+    });
     std::sort(corners.begin(), corners.end(),
               [](const ScoredCorner& a, const ScoredCorner& b) {
                 return a.score < b.score;
@@ -145,17 +114,13 @@ MtdSelectionResult select_mtd_perturbation(const grid::PowerSystem& sys,
       starts.push_back(std::move(corners[i].x));
   }
 
-  // One Nelder-Mead run per start, in parallel with per-worker states;
-  // the ordered strict-'<' fold below picks the same winner the sequential
-  // start loop would.
+  // One Nelder-Mead run per start, in parallel; the ordered strict-'<'
+  // fold below picks the same winner the sequential start loop would.
   std::vector<opf::DirectSearchResult> results(starts.size());
-  core::parallel_for_with_shared_state(
-      starts.size(), worker_states, make_state,
-      [&](SelectionWorkerState& state, std::size_t i) {
-        results[i] = opf::nelder_mead_box(
-            [&](const linalg::Vector& x) { return objective_with(state, x); },
-            lo, hi, starts[i], options.search);
-      });
+  core::parallel_for(starts.size(), [&](std::size_t i) {
+    results[i] =
+        opf::nelder_mead_box(objective, lo, hi, starts[i], options.search);
+  });
   opf::DirectSearchResult best;
   bool first = true;
   for (opf::DirectSearchResult& r : results) {
@@ -169,7 +134,7 @@ MtdSelectionResult select_mtd_perturbation(const grid::PowerSystem& sys,
   result.reactances = opf::expand_dfacts_reactances(sys, best.x);
   result.dispatch = opf::solve_dc_opf(sys, result.reactances);
   result.h_mtd = grid::measurement_matrix(sys, result.reactances);
-  result.spa = spa(h_attacker, result.h_mtd);
+  result.spa = spa(grid::measurement_matrix(sys, x_attacker), result.h_mtd);
   result.base_opf_cost = base_opf_cost;
   if (result.dispatch.feasible) {
     result.opf_cost = result.dispatch.cost;

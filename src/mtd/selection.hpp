@@ -1,8 +1,5 @@
 #pragma once
 
-#include <memory>
-
-#include "core/parallel.hpp"
 #include "grid/power_system.hpp"
 #include "linalg/matrix.hpp"
 #include "mtd/spa.hpp"
@@ -11,22 +8,6 @@
 #include "stats/rng.hpp"
 
 namespace mtdgrid::mtd {
-
-/// Per-worker evaluation state of the selection sweep: one dispatch
-/// evaluator per pool worker, so the evaluators' instrumentation counters
-/// do not share cache lines. (The SPA evaluator is not in here:
-/// `select_mtd_perturbation` builds one per call and shares it across
-/// workers, which keeps the factorization count independent of the thread
-/// count.) Construction is deterministic — every worker's state computes
-/// identical objective values, so results do not depend on which worker
-/// served which candidate (the `core::parallel_for_with_state` contract).
-/// Exposed publicly so a long-lived caller can keep a
-/// `core::WorkerStateCache` of these across repeated
-/// `select_mtd_perturbation` calls with unchanged inputs (see
-/// `MtdSelectionOptions::worker_cache`).
-struct SelectionWorkerState {
-  std::unique_ptr<opf::DispatchEvaluator> dispatch_eval;  ///< OPF fast path
-};
 
 /// Options for the SPA-constrained minimum-cost MTD selection (paper
 /// problem (4)).
@@ -44,27 +25,10 @@ struct MtdSelectionOptions {
   /// sweeps, where each point must sit *at* a given gamma; the flat-cost
   /// plateau would otherwise let the optimizer drift to a larger angle.
   bool pin_gamma = false;
-  /// Evaluate candidates through the amortized hot path: the k x k SPA
-  /// tables of `SpaEvaluator` and the merit-order dispatch
-  /// certificate (`DispatchEvaluator`) instead of a fresh SVD pair and
-  /// simplex solve per candidate (>=5x at 57-bus scale). The objective
-  /// agrees with the reference path to ~1e-12, so this is a speed knob,
-  /// not a quality knob; set false to A/B against the reference path.
-  bool use_fast_path = true;
   /// Optional incumbent D-FACTS reactances (one entry per D-FACTS branch,
   /// `dfacts_branches()` order) added to the start portfolio — e.g. the
   /// previous hour's perturbation in the daily loop. Empty = none.
   linalg::Vector warm_start;
-  /// Optional caller-owned per-worker dispatch-evaluator cache, reused
-  /// across consecutive `select_mtd_perturbation` calls whose (system,
-  /// loads, `use_fast_path`) are all unchanged — the daily loop's
-  /// gamma-grid retries within one hour, the daemon's request-scoped
-  /// re-keying. The caller must `invalidate()` the cache whenever any of
-  /// those inputs changes. States are interchangeable (deterministic
-  /// construction), so caching is a pure speed knob: results are
-  /// bit-identical with or without it. nullptr (default) builds per-call
-  /// states. The SPA evaluator is always built per call.
-  core::WorkerStateCache<SelectionWorkerState>* worker_cache = nullptr;
 };
 
 /// Result of the MTD perturbation selection.
@@ -81,16 +45,22 @@ struct MtdSelectionResult {
 
 /// Solves problem (4): minimize operational cost over the D-FACTS
 /// reactances subject to gamma(H_attacker, H(x')) >= gamma_th and the
-/// OPF constraints. `h_attacker` is the measurement matrix the attacker
-/// learned (H_t); `base_opf_cost` must be the no-MTD OPF cost C_OPF,t'
-/// used to normalize the paper's cost metric (3).
+/// OPF constraints. `x_attacker` is the full length-L reactance vector
+/// the attacker learned, so H_t = H(x_attacker); it may differ from the
+/// system's nominal reactances only on D-FACTS branches.
+/// `base_opf_cost` must be the no-MTD OPF cost C_OPF,t' used to normalize
+/// the paper's cost metric (3). A malformed `x_attacker` throws the
+/// `SpaEvaluator` constructor's std::invalid_argument.
 ///
 /// Implementation: for fixed reactances the cost is the dispatch LP; the
 /// SPA constraint is enforced with an exact-penalty term and the D-FACTS
 /// reactances are optimized by multi-start Nelder-Mead, mirroring the
-/// paper's fmincon + MultiStart approach.
+/// paper's fmincon + MultiStart approach. Each call builds one
+/// `SpaEvaluator` (the k x k gamma tables) and one
+/// `opf::DispatchEvaluator` (the merit-order dispatch certificate); both
+/// are const and thread-safe, and every pool worker shares them.
 MtdSelectionResult select_mtd_perturbation(const grid::PowerSystem& sys,
-                                           const linalg::Matrix& h_attacker,
+                                           const linalg::Vector& x_attacker,
                                            double base_opf_cost,
                                            const MtdSelectionOptions& options,
                                            stats::Rng& rng);

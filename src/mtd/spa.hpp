@@ -5,7 +5,6 @@
 
 #include "grid/power_system.hpp"
 #include "linalg/matrix.hpp"
-#include "linalg/sparse_matrix.hpp"
 #include "linalg/vector.hpp"
 
 namespace mtdgrid::mtd {
@@ -44,89 +43,59 @@ bool column_spaces_orthogonal(const linalg::Matrix& h_old,
                               const linalg::Matrix& h_new,
                               double tol = 1e-8);
 
-/// Amortized gamma(H_attacker, H(x)) evaluation for the selection hot loop.
+/// Amortized gamma(H(x_ref), H(x)) evaluation for the selection hot loop.
 ///
 /// The plain `spa()` call orthonormalizes BOTH matrices and runs a Jacobi
 /// SVD of the full principal-angle core on every invocation. This
-/// evaluator moves all size-dependent work into its constructor:
-///
-///  * when `h_attacker` is recognized as a measurement matrix of `sys`
-///    (H0 = H(x_ref) for recovered reactances x_ref — true for every
-///    matrix produced by `grid::measurement_matrix`), only the d D-FACTS
-///    susceptances ever change, so H(x) = H0 + U_D diag(delta) A_D^T. The
-///    constructor factors the unweighted Gram H0^T H0 once
-///    (`linalg::SparseCholesky`) and keeps three d x d tables:
-///    C = U_perp^T U_perp (U_perp = the part of U_D outside Col(H0)),
-///    T = A_D^T Z and E = A_D^T (H0^T H0)^{-1} A_D, with
-///    Z = (H0^T H0)^{-1} H0^T U_D; C and E are held as triangular factors
-///    of explicit vectors so no digit is lost to squaring as gamma -> 0.
-///    A candidate changing k branches then costs O(k^3) work on k x k
-///    matrices and never touches an M x n or n x n matrix (DESIGN.md
-///    "Rank-k incremental updates"). The gammas match `spa()` to ~1e-13.
-///  * otherwise (arbitrary attacker matrix) it caches the attacker basis
-///    Q0 and rebuilds H(x) per candidate (`gamma_full`).
+/// evaluator moves all size-dependent work into its constructor. The
+/// attacker's key is its reactance vector x_ref, H0 = H(x_ref), and only
+/// the d D-FACTS susceptances ever change, so H(x) = H0 + U_D diag(delta)
+/// A_D^T. The constructor solves against H0 once per D-FACTS branch and
+/// keeps three d x d tables: C = U_perp^T U_perp (U_perp = the part of
+/// U_D outside Col(H0)), T = A_D^T Z and E = A_D^T (H0^T H0)^{-1} A_D,
+/// with Z = (H0^T H0)^{-1} H0^T U_D; C and E are held as triangular
+/// factors of explicit vectors so no digit is lost to squaring as
+/// gamma -> 0. The solves run on the min-degree `linalg::SparseCholesky`
+/// of the unweighted Gram H0^T H0, each with one refinement step. When
+/// that factor fails its pivot test (the Gram squares cond(H0): a weakly
+/// tied composite such as case14x2 at tie reactance 1e5) the same tables
+/// come from a dense thin QR of H0 instead. A candidate changing k
+/// branches then costs O(k^3) work on k x k matrices and never touches
+/// an M x n or n x n matrix (DESIGN.md "Rank-k incremental updates").
+/// The gammas match `spa()` to ~1e-12.
 ///
 /// `gamma` is const and keeps no scratch state, so one evaluator may be
 /// shared by any number of threads.
 class SpaEvaluator {
  public:
-  /// `h_attacker` must have the measurement dimensions of `sys`
-  /// (2L + N rows, N - 1 columns); throws std::invalid_argument otherwise.
-  SpaEvaluator(const grid::PowerSystem& sys, const linalg::Matrix& h_attacker);
+  /// `x_ref` is the attacker's full length-L reactance vector, all entries
+  /// > 0. Throws std::invalid_argument("SpaEvaluator: reference reactance
+  /// vector length") or ("SpaEvaluator: reference reactances must be > 0")
+  /// on a malformed key, and ("SpaEvaluator: H(x_ref) is rank deficient")
+  /// when the measurement matrix at x_ref has no full column rank.
+  SpaEvaluator(const grid::PowerSystem& sys, const linalg::Vector& x_ref);
 
-  /// Sparse construction path: `h_attacker` in CSR, e.g. from
-  /// `grid::sparse_measurement_matrix`. Recognition, verification and the
-  /// table construction run on the O(L + N) stored entries; no dense
-  /// M x (N-1) block is materialized unless the matrix is unrecognized.
-  SpaEvaluator(const grid::PowerSystem& sys,
-               const linalg::SparseMatrix& h_attacker);
-
-  /// gamma(h_attacker, H(sys, x)) — the largest-principal-angle SPA metric,
-  /// identical (to ~1e-12 rad) to `spa(h_attacker, measurement_matrix(sys,
-  /// x))`. `x` is the full length-L reactance vector, all entries > 0. In
-  /// incremental mode `x` may differ from the reference reactances only on
+  /// gamma(H(sys, x_ref), H(sys, x)) — the largest-principal-angle SPA
+  /// metric, identical (to ~1e-12 rad) to `spa(measurement_matrix(sys,
+  /// x_ref), measurement_matrix(sys, x))`. `x` is the full length-L
+  /// reactance vector, all entries > 0, and may differ from x_ref only on
   /// D-FACTS branches; any other changed branch throws
   /// std::invalid_argument("SpaEvaluator: branch <l> is not a D-FACTS
   /// branch").
   double gamma(const linalg::Vector& x) const;
 
-  /// gamma against an explicit post-perturbation matrix (cached-Q0 path).
-  /// Only available when `!incremental()`; throws std::logic_error
-  /// otherwise, since the incremental mode keeps no attacker basis.
-  double gamma_full(const linalg::Matrix& h_new) const;
-
-  /// True when the k x k incremental path is active (h_attacker was
-  /// recognized as a measurement matrix of the system).
-  bool incremental() const { return incremental_; }
-
-  /// The reference reactances recovered from h_attacker (only meaningful
-  /// when `incremental()`).
-  const linalg::Vector& reference_reactances() const { return x_ref_; }
-
  private:
   static constexpr std::size_t kNotDfacts = static_cast<std::size_t>(-1);
 
-  /// Recovers x_ref/d_ref from the forward-flow rows of `h`. Returns false
-  /// when any branch yields no positive susceptance.
-  bool recover_reference(const linalg::SparseMatrix& h);
-
-  /// Builds C, T, E and the D-FACTS slot map from `h` = H(x_ref). Returns
-  /// false when H^T H is not positive definite.
-  bool build_tables(const linalg::SparseMatrix& h);
-
-  grid::PowerSystem sys_;       // value copy: the evaluator owns its model
-  linalg::Vector x_ref_;        // recovered reference reactances
+  double base_mva_;
+  linalg::Vector x_ref_;        // the attacker's reactances
   linalg::Vector d_ref_;        // susceptances at x_ref
-  // Incremental mode: branch -> D-FACTS slot (kNotDfacts otherwise) and
-  // the d x d tables indexed by slot.
+  // Branch -> D-FACTS slot (kNotDfacts otherwise) and the d x d tables
+  // indexed by slot.
   std::vector<std::size_t> dfacts_slot_;
   linalg::Matrix c_factor_;     // R_C: R_C^T R_C = C = U_perp^T U_perp
   linalg::Matrix t_;            // T = A_D^T Z
   linalg::Matrix e_factor_;     // R_E: R_E^T R_E = E = A_D^T (H0^T H0)^{-1} A_D
-  // Fallback mode: the attacker matrix and an orthonormal basis of it.
-  linalg::Matrix h0_;
-  linalg::Matrix q0_;
-  bool incremental_ = false;
 };
 
 }  // namespace mtdgrid::mtd

@@ -49,12 +49,11 @@ void solve_zone(const grid::ZoneSystem& zs, std::size_t zone,
   }
 
   MtdSelectionOptions sel = options.selection;
-  sel.worker_cache = nullptr;  // per-zone systems differ; never share states
   sel.extra_starts +=
       static_cast<int>(round) * options.enlarge_extra_starts;
   stats::Rng rng = stats::make_stream(seed, round * num_zones + zone);
   out.result = select_mtd_perturbation(
-      zsys, grid::measurement_matrix(zsys), base.cost, sel, rng);
+      zsys, zsys.reactances(), base.cost, sel, rng);
   obs::add(obs::Work::kZonesSelected);
 }
 
@@ -96,11 +95,10 @@ ZoneSelectionResult select_mtd_zones(const grid::PowerSystem& sys,
   for (std::size_t z = 0; z < num_zones; ++z)
     zones.push_back(grid::extract_zone(sys, partition, z));
 
-  // The full-model boundary check: the attacker's matrix is the nominal
-  // full-network H, built sparse (O(L + N) entries) so mega-grid
-  // construction stays tractable; the stitched candidates then ride the
-  // k x k incremental gamma path.
-  const SpaEvaluator full_eval(sys, grid::sparse_measurement_matrix(sys));
+  // The full-model boundary check: the attacker's key is the nominal
+  // full-network reactance vector, and the stitched candidates ride the
+  // k x k gamma tables built from its sparse Gram factor.
+  const SpaEvaluator full_eval(sys, sys.reactances());
 
   ZoneSelectionResult result;
   result.zones.resize(num_zones);

@@ -28,9 +28,9 @@ namespace mtdgrid::mtd {
 
 /// Options for `select_mtd_zones`.
 struct ZoneSelectionOptions {
-  /// Per-zone selection options (threshold, multi-start budget, fast
-  /// path). `worker_cache` is ignored — each per-zone solve builds its
-  /// own evaluator states, since every zone is a different system.
+  /// Per-zone selection options (threshold, multi-start budget); each
+  /// per-zone solve builds its own evaluator pair, since every zone is a
+  /// different system.
   MtdSelectionOptions selection;
   /// SPA threshold the stitched perturbation must meet on the full
   /// model; 0 (the default) reuses `selection.gamma_threshold`. The

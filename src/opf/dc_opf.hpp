@@ -54,8 +54,8 @@ class DispatchEvaluator {
   /// Optimal dispatch at reactances `x`; bit-equal cost to `solve_dc_opf`
   /// up to LP solver tolerances. Safe to call concurrently from several
   /// threads: all candidate-independent state is set at construction and
-  /// the instrumentation counters are atomic. (The selection sweep still
-  /// builds one evaluator per worker to keep cache lines unshared.)
+  /// the instrumentation counters are atomic, so the selection sweep
+  /// builds one evaluator per call and shares it across the pool.
   DispatchResult evaluate(const linalg::Vector& x) const;
 
   /// Instrumentation: how often the relaxed dispatch was accepted.

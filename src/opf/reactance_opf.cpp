@@ -42,8 +42,7 @@ ReactanceOpfResult solve_reactance_opf(const grid::PowerSystem& sys,
   const DispatchEvaluator evaluator(sys);
   const auto objective = [&](const linalg::Vector& dfacts_x) {
     const linalg::Vector x = expand_dfacts_reactances(sys, dfacts_x);
-    const DispatchResult d =
-        options.use_fast_path ? evaluator.evaluate(x) : solve_dc_opf(sys, x);
+    const DispatchResult d = evaluator.evaluate(x);
     return d.feasible ? d.cost : kInfeasiblePenalty;
   };
 

@@ -16,10 +16,6 @@ struct ReactanceOpfOptions {
   /// `dfacts_branches()` order) used as an extra warm start — e.g. the
   /// previous period's solution when tracking a load trace. Empty = none.
   linalg::Vector warm_start;
-  /// Evaluate candidate dispatches through the amortized
-  /// `DispatchEvaluator` fast path (merit-order certificate + power-flow
-  /// check) instead of one simplex solve per objective evaluation.
-  bool use_fast_path = true;
 };
 
 /// Result of the reactance-augmented OPF.
@@ -30,8 +26,9 @@ struct ReactanceOpfResult {
 };
 
 /// Solves min_{g, x} cost subject to the DC-OPF constraints and the
-/// D-FACTS reactance limits. For fixed x the problem is an LP (solved by
-/// `solve_dc_opf`); the few D-FACTS reactances are optimized by multi-start
+/// D-FACTS reactance limits. For fixed x the problem is an LP, answered by
+/// one shared `DispatchEvaluator` (merit-order certificate, simplex
+/// fallback); the few D-FACTS reactances are optimized by multi-start
 /// Nelder-Mead, mirroring the paper's fmincon-with-MultiStart setup.
 ReactanceOpfResult solve_reactance_opf(const grid::PowerSystem& sys,
                                        stats::Rng& rng,

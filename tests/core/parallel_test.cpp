@@ -153,26 +153,6 @@ TEST(ParallelForWithStateTest, OneStatePerWorkerCoversAllTasks) {
   EXPECT_LE(states_built.load(), 4);
 }
 
-TEST(ParallelForWithSharedStateTest, StatesReusedAcrossRegions) {
-  ThreadPool pool(4);
-  std::atomic<int> states_built{0};
-  WorkerStates<int> states(worker_state_slots(&pool));
-  std::vector<std::atomic<int>> visits(120);
-  for (int region = 0; region < 3; ++region) {
-    parallel_for_with_shared_state(
-        visits.size(), states,
-        [&] {
-          states_built.fetch_add(1);
-          return 0;
-        },
-        [&](int&, std::size_t i) { visits[i].fetch_add(1); }, &pool);
-  }
-  for (auto& v : visits) EXPECT_EQ(v.load(), 3);
-  // Lazy, one per worker, shared by all three regions — never rebuilt.
-  EXPECT_GE(states_built.load(), 1);
-  EXPECT_LE(states_built.load(), 4);
-}
-
 TEST(ParallelReduceOrderedTest, FloatingPointFoldIsThreadCountInvariant) {
   // A sum of values spanning ~16 orders of magnitude is maximally
   // order-sensitive in floating point; the ordered reduction must still be

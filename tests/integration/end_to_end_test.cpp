@@ -35,7 +35,8 @@ PipelineResult run_pipeline(const grid::PowerSystem& sys, double gamma_th,
   sel.search.max_evaluations = 800;
   PipelineResult out;
   out.selection =
-      mtd::select_mtd_perturbation(sys, h_attacker, base.cost, sel, rng);
+      mtd::select_mtd_perturbation(sys, sys.reactances(), base.cost, sel,
+                                   rng);
   EXPECT_TRUE(out.selection.dispatch.feasible);
 
   const linalg::Vector z_ref = grid::noiseless_measurements(
@@ -81,7 +82,8 @@ TEST(EndToEndTest, Case57PipelineIsEffective) {
   sel.extra_starts = 1;
   sel.search.max_evaluations = 150;
   const mtd::MtdSelectionResult selection =
-      mtd::select_mtd_perturbation(sys, h_attacker, base.cost, sel, rng);
+      mtd::select_mtd_perturbation(sys, sys.reactances(), base.cost, sel,
+                                   rng);
   ASSERT_TRUE(selection.dispatch.feasible);
 
   const linalg::Vector z_ref = grid::noiseless_measurements(

@@ -94,7 +94,7 @@ TEST(Case118Test, OpfStaysFeasibleAcrossDfactsEnvelope) {
 TEST(Case118Test, FastSpaMatchesReference) {
   const grid::PowerSystem sys = grid::make_case118();
   const linalg::Matrix h0 = grid::measurement_matrix(sys);
-  const mtd::SpaEvaluator eval(sys, h0);
+  const mtd::SpaEvaluator eval(sys, sys.reactances());
   linalg::Vector x = sys.reactances();
   for (std::size_t l : sys.dfacts_branches()) x[l] *= 1.3;
   const double reference = mtd::spa(h0, grid::measurement_matrix(sys, x));
@@ -117,7 +117,8 @@ TEST(Case118Test, SelectionDispatchEffectivenessPipeline) {
   sel.extra_starts = 1;
   sel.search.max_evaluations = 120;
   const mtd::MtdSelectionResult selection =
-      mtd::select_mtd_perturbation(sys, h_attacker, base.cost, sel, rng);
+      mtd::select_mtd_perturbation(sys, sys.reactances(), base.cost, sel,
+                                   rng);
   ASSERT_TRUE(selection.dispatch.feasible);
   EXPECT_GT(selection.spa, 0.0);
   EXPECT_GE(selection.opf_cost, base.cost - 1e-6);

@@ -77,7 +77,7 @@ TEST(Case300SlowTest, FastSpaPositiveUnderPerturbation) {
   // thin-QR reference.
   const grid::PowerSystem sys = grid::make_case300();
   const linalg::Matrix h0 = grid::measurement_matrix(sys);
-  const mtd::SpaEvaluator eval(sys, h0);
+  const mtd::SpaEvaluator eval(sys, sys.reactances());
   linalg::Vector x = sys.reactances();
   for (std::size_t l : sys.dfacts_branches()) x[l] *= 1.3;
   const double gamma = eval.gamma(x);

@@ -175,7 +175,6 @@ TEST(ParallelDeterminismTest, MultiStartBitIdentical) {
 
 TEST(ParallelDeterminismTest, SelectionBitIdenticalAcrossThreadCounts) {
   grid::PowerSystem sys = grid::make_case14();
-  const linalg::Matrix h0 = grid::measurement_matrix(sys);
   const opf::DispatchResult base = opf::solve_dc_opf(sys);
   ASSERT_TRUE(base.feasible);
 
@@ -186,7 +185,8 @@ TEST(ParallelDeterminismTest, SelectionBitIdenticalAcrossThreadCounts) {
 
   const auto runs = with_thread_counts([&] {
     stats::Rng rng(4242);
-    return mtd::select_mtd_perturbation(sys, h0, base.cost, sel, rng);
+    return mtd::select_mtd_perturbation(sys, sys.reactances(), base.cost, sel,
+                                        rng);
   });
   for (std::size_t k = 1; k < runs.size(); ++k) {
     SCOPED_TRACE("threads=" + std::to_string(kThreadCounts[k]));

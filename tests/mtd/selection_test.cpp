@@ -3,6 +3,8 @@
 #include <gtest/gtest.h>
 
 #include <cstdint>
+#include <stdexcept>
+#include <string>
 #include <vector>
 
 #include "core/thread_pool.hpp"
@@ -17,14 +19,9 @@ namespace {
 
 struct Fixture {
   grid::PowerSystem sys = grid::make_case_ieee14();
-  linalg::Matrix h_attacker;
-  double base_cost = 0.0;
-
-  Fixture() {
-    const opf::DispatchResult base = opf::solve_dc_opf(sys);
-    h_attacker = grid::measurement_matrix(sys);
-    base_cost = base.cost;
-  }
+  linalg::Vector x_attacker = sys.reactances();
+  linalg::Matrix h_attacker = grid::measurement_matrix(sys);
+  double base_cost = opf::solve_dc_opf(sys).cost;
 
   MtdSelectionOptions fast_options(double gamma_th) const {
     MtdSelectionOptions opt;
@@ -39,7 +36,7 @@ TEST(SelectionTest, MeetsModerateThreshold) {
   Fixture f;
   stats::Rng rng(1);
   const MtdSelectionResult r = select_mtd_perturbation(
-      f.sys, f.h_attacker, f.base_cost, f.fast_options(0.2), rng);
+      f.sys, f.x_attacker, f.base_cost, f.fast_options(0.2), rng);
   EXPECT_TRUE(r.feasible);
   EXPECT_GE(r.spa, 0.2 - 2e-3);
   EXPECT_TRUE(f.sys.reactances_within_limits(r.reactances));
@@ -49,7 +46,7 @@ TEST(SelectionTest, SpaMatchesReportedMatrix) {
   Fixture f;
   stats::Rng rng(2);
   const MtdSelectionResult r = select_mtd_perturbation(
-      f.sys, f.h_attacker, f.base_cost, f.fast_options(0.15), rng);
+      f.sys, f.x_attacker, f.base_cost, f.fast_options(0.15), rng);
   EXPECT_NEAR(r.spa, spa(f.h_attacker, r.h_mtd), 1e-9);
   EXPECT_NEAR(linalg::max_abs_diff(
                   r.h_mtd, grid::measurement_matrix(f.sys, r.reactances)),
@@ -60,7 +57,7 @@ TEST(SelectionTest, CostIncreaseConsistent) {
   Fixture f;
   stats::Rng rng(3);
   const MtdSelectionResult r = select_mtd_perturbation(
-      f.sys, f.h_attacker, f.base_cost, f.fast_options(0.25), rng);
+      f.sys, f.x_attacker, f.base_cost, f.fast_options(0.25), rng);
   ASSERT_TRUE(r.dispatch.feasible);
   EXPECT_NEAR(r.cost_increase,
               (r.opf_cost - f.base_cost) / f.base_cost, 1e-12);
@@ -73,7 +70,7 @@ TEST(SelectionTest, PinnedGammaLandsOnThreshold) {
   MtdSelectionOptions opt = f.fast_options(0.22);
   opt.pin_gamma = true;
   const MtdSelectionResult r =
-      select_mtd_perturbation(f.sys, f.h_attacker, f.base_cost, opt, rng);
+      select_mtd_perturbation(f.sys, f.x_attacker, f.base_cost, opt, rng);
   EXPECT_TRUE(r.feasible);
   EXPECT_NEAR(r.spa, 0.22, 0.02);
 }
@@ -82,7 +79,7 @@ TEST(SelectionTest, TinyThresholdIsFreeAndFeasible) {
   Fixture f;
   stats::Rng rng(5);
   const MtdSelectionResult r = select_mtd_perturbation(
-      f.sys, f.h_attacker, f.base_cost, f.fast_options(0.01), rng);
+      f.sys, f.x_attacker, f.base_cost, f.fast_options(0.01), rng);
   EXPECT_TRUE(r.feasible);
   // The reactance-OPF optimum costs no more than the nominal-x dispatch.
   EXPECT_LE(r.opf_cost, f.base_cost + 1e-6);
@@ -93,7 +90,7 @@ TEST(SelectionTest, UnreachableThresholdReportedInfeasible) {
   stats::Rng rng(6);
   // pi/2 is unreachable for a 6-branch D-FACTS deployment.
   const MtdSelectionResult r = select_mtd_perturbation(
-      f.sys, f.h_attacker, f.base_cost, f.fast_options(1.5), rng);
+      f.sys, f.x_attacker, f.base_cost, f.fast_options(1.5), rng);
   EXPECT_FALSE(r.feasible);
   EXPECT_LT(r.spa, 1.5);
   // The search still returns the best-achievable point with a valid OPF.
@@ -109,9 +106,9 @@ TEST(SelectionTest, HigherThresholdNeverCheaper) {
   lo_opt.extra_starts = hi_opt.extra_starts = 5;
   lo_opt.search.max_evaluations = hi_opt.search.max_evaluations = 1500;
   const MtdSelectionResult lo =
-      select_mtd_perturbation(f.sys, f.h_attacker, f.base_cost, lo_opt, rng);
+      select_mtd_perturbation(f.sys, f.x_attacker, f.base_cost, lo_opt, rng);
   const MtdSelectionResult hi =
-      select_mtd_perturbation(f.sys, f.h_attacker, f.base_cost, hi_opt, rng);
+      select_mtd_perturbation(f.sys, f.x_attacker, f.base_cost, hi_opt, rng);
   ASSERT_TRUE(lo.feasible);
   ASSERT_TRUE(hi.feasible);
   // Slack covers direct-search noise on the flat-cost plateau.
@@ -121,12 +118,12 @@ TEST(SelectionTest, HigherThresholdNeverCheaper) {
 TEST(SelectionTest, ValidatesArguments) {
   Fixture f;
   stats::Rng rng(8);
-  EXPECT_THROW(select_mtd_perturbation(f.sys, f.h_attacker, 0.0,
+  EXPECT_THROW(select_mtd_perturbation(f.sys, f.x_attacker, 0.0,
                                        f.fast_options(0.1), rng),
                std::invalid_argument);
   MtdSelectionOptions bad = f.fast_options(-0.1);
   EXPECT_THROW(
-      select_mtd_perturbation(f.sys, f.h_attacker, f.base_cost, bad, rng),
+      select_mtd_perturbation(f.sys, f.x_attacker, f.base_cost, bad, rng),
       std::invalid_argument);
 
   // A system without D-FACTS cannot host an MTD.
@@ -138,35 +135,35 @@ TEST(SelectionTest, ValidatesArguments) {
       {.bus = 0, .min_mw = 0.0, .max_mw = 100.0, .cost_per_mwh = 7.0}};
   const grid::PowerSystem plain("plain", buses, branches, gens);
   EXPECT_THROW(
-      select_mtd_perturbation(plain, grid::measurement_matrix(plain), 100.0,
+      select_mtd_perturbation(plain, plain.reactances(), 100.0,
                               f.fast_options(0.1), rng),
       std::invalid_argument);
 }
 
-TEST(SelectionTest, ReferencePathAndFastPathBothMeetTheConstraint) {
-  // The fast path is a speed knob: both settings must produce a feasible
-  // perturbation at the threshold (the search trajectories may differ, so
-  // only the contract is compared, not the iterates).
+TEST(SelectionTest, MalformedAttackerKeyPassesThroughSpaEvaluatorError) {
   Fixture f;
-  for (bool fast : {false, true}) {
-    stats::Rng rng(11);
-    MtdSelectionOptions opt = f.fast_options(0.15);
-    opt.use_fast_path = fast;
-    const MtdSelectionResult r = select_mtd_perturbation(
-        f.sys, f.h_attacker, f.base_cost, opt, rng);
-    EXPECT_TRUE(r.feasible) << "fast=" << fast;
-    EXPECT_GE(r.spa, 0.15 - 2e-3) << "fast=" << fast;
-    // The reported spa always comes from the reference spa() on the final
-    // matrix, so the constraint check is path-independent.
-    EXPECT_NEAR(r.spa, spa(f.h_attacker, r.h_mtd), 1e-9);
-  }
+  stats::Rng rng(9);
+  const auto message_of = [&](const linalg::Vector& x_attacker) {
+    try {
+      select_mtd_perturbation(f.sys, x_attacker, f.base_cost,
+                              f.fast_options(0.1), rng);
+    } catch (const std::invalid_argument& e) {
+      return std::string(e.what());
+    }
+    return std::string("no error");
+  };
+  EXPECT_EQ(message_of(linalg::Vector(3, 0.1)),
+            "SpaEvaluator: reference reactance vector length");
+  linalg::Vector x = f.x_attacker;
+  x[f.sys.dfacts_branches()[0]] = 0.0;
+  EXPECT_EQ(message_of(x), "SpaEvaluator: reference reactances must be > 0");
 }
 
 TEST(SelectionTest, WarmStartFromIncumbentIsAccepted) {
   Fixture f;
   stats::Rng rng(12);
   const MtdSelectionResult first = select_mtd_perturbation(
-      f.sys, f.h_attacker, f.base_cost, f.fast_options(0.2), rng);
+      f.sys, f.x_attacker, f.base_cost, f.fast_options(0.2), rng);
   ASSERT_TRUE(first.feasible);
 
   const auto dfacts = f.sys.dfacts_branches();
@@ -177,7 +174,7 @@ TEST(SelectionTest, WarmStartFromIncumbentIsAccepted) {
   for (std::size_t k = 0; k < dfacts.size(); ++k)
     warm.warm_start[k] = first.reactances[dfacts[k]];
   const MtdSelectionResult second = select_mtd_perturbation(
-      f.sys, f.h_attacker, f.base_cost, warm, rng);
+      f.sys, f.x_attacker, f.base_cost, warm, rng);
   EXPECT_TRUE(second.feasible);
   EXPECT_GE(second.spa, 0.2 - 2e-3);
 }
@@ -195,7 +192,7 @@ TEST(SelectionTest, GramFactorizationCountIsThreadCountInvariant) {
     {
       obs::ScopedRegistry scope(&reg);
       stats::Rng rng(21);
-      select_mtd_perturbation(f.sys, f.h_attacker, f.base_cost,
+      select_mtd_perturbation(f.sys, f.x_attacker, f.base_cost,
                               f.fast_options(0.2), rng);
     }
     counts.push_back(reg.work_snapshot()[static_cast<std::size_t>(

@@ -178,8 +178,7 @@ class SpaEvaluatorProperty : public ::testing::TestWithParam<int> {};
 TEST_P(SpaEvaluatorProperty, IncrementalGammaMatchesReferenceOnCase14) {
   const grid::PowerSystem sys = grid::make_case14();
   const linalg::Matrix h0 = grid::measurement_matrix(sys);
-  const SpaEvaluator eval(sys, h0);
-  ASSERT_TRUE(eval.incremental());
+  const SpaEvaluator eval(sys, sys.reactances());
 
   stats::Rng rng(300 + GetParam());
   const linalg::Vector lo = sys.reactance_lower_limits();
@@ -196,8 +195,7 @@ TEST_P(SpaEvaluatorProperty, IncrementalGammaMatchesReferenceOnCase14) {
 TEST_P(SpaEvaluatorProperty, IncrementalGammaMatchesReferenceOnCase57) {
   const grid::PowerSystem sys = grid::make_case57();
   const linalg::Matrix h0 = grid::measurement_matrix(sys);
-  const SpaEvaluator eval(sys, h0);
-  ASSERT_TRUE(eval.incremental());
+  const SpaEvaluator eval(sys, sys.reactances());
 
   stats::Rng rng(350 + GetParam());
   const linalg::Vector lo = sys.reactance_lower_limits();
@@ -213,60 +211,17 @@ TEST_P(SpaEvaluatorProperty, IncrementalGammaMatchesReferenceOnCase57) {
 
 INSTANTIATE_TEST_SUITE_P(Seeds, SpaEvaluatorProperty, ::testing::Range(0, 6));
 
-TEST(SpaEvaluatorTest, RecognizesPerturbedReferenceMatrix) {
-  // The attacker's knowledge is usually H at *perturbed* reactances (stale
-  // MTD state), not the nominal ones; recovery must still work.
-  const grid::PowerSystem sys = grid::make_case14();
-  linalg::Vector x_att = sys.reactances();
-  for (std::size_t l : sys.dfacts_branches()) x_att[l] *= 1.17;
-  const linalg::Matrix h_att = grid::measurement_matrix(sys, x_att);
-  const SpaEvaluator eval(sys, h_att);
-  ASSERT_TRUE(eval.incremental());
-  EXPECT_LT(linalg::max_abs_diff(
-                linalg::Matrix::column(eval.reference_reactances()),
-                linalg::Matrix::column(x_att)),
-            1e-9);
-
-  linalg::Vector x = sys.reactances();
-  x[sys.dfacts_branches()[0]] *= 1.4;
-  EXPECT_NEAR(eval.gamma(x), spa(h_att, grid::measurement_matrix(sys, x)),
-              1e-10);
-}
-
 TEST(SpaEvaluatorTest, UnchangedReactancesGiveZeroGamma) {
   const grid::PowerSystem sys = grid::make_case14();
-  const linalg::Matrix h0 = grid::measurement_matrix(sys);
-  const SpaEvaluator eval(sys, h0);
+  const SpaEvaluator eval(sys, sys.reactances());
   EXPECT_EQ(eval.gamma(sys.reactances()), 0.0);
-}
-
-TEST(SpaEvaluatorTest, ArbitraryAttackerMatrixFallsBackAndStillMatches) {
-  // A randomly rotated attacker matrix is NOT a measurement matrix of the
-  // system: the evaluator must detect that and fall back to the cached-Q0
-  // path, still matching the reference spa().
-  const grid::PowerSystem sys = grid::make_case14();
-  stats::Rng rng(8);
-  const linalg::Matrix h_arbitrary =
-      test::random_matrix(grid::measurement_count(sys),
-                          sys.num_buses() - 1, rng);
-  const SpaEvaluator eval(sys, h_arbitrary);
-  EXPECT_FALSE(eval.incremental());
-
-  linalg::Vector x = sys.reactances();
-  for (std::size_t l : sys.dfacts_branches()) x[l] *= 1.25;
-  const double reference =
-      spa(h_arbitrary, grid::measurement_matrix(sys, x));
-  EXPECT_NEAR(eval.gamma(x), reference, 1e-10);
-  EXPECT_NEAR(eval.gamma_full(grid::measurement_matrix(sys, x)), reference,
-              1e-10);
 }
 
 TEST(SpaEvaluatorTest, RejectsChangedNonDfactsBranch) {
   // The k x k tables cover only the D-FACTS branches; a candidate moving
   // any other branch is a caller bug and gets a pinned error.
   const grid::PowerSystem sys = grid::make_case14();
-  const SpaEvaluator eval(sys, grid::measurement_matrix(sys));
-  ASSERT_TRUE(eval.incremental());
+  const SpaEvaluator eval(sys, sys.reactances());
   const auto dfacts = sys.dfacts_branches();
   std::size_t other = 0;
   while (std::find(dfacts.begin(), dfacts.end(), other) != dfacts.end())
@@ -281,8 +236,6 @@ TEST(SpaEvaluatorTest, RejectsChangedNonDfactsBranch) {
                                          std::to_string(other) +
                                          " is not a D-FACTS branch");
   }
-  EXPECT_THROW(eval.gamma_full(grid::measurement_matrix(sys, x)),
-               std::logic_error);
 }
 
 TEST(SpaEvaluatorTest, UniformScalingOfDfactsCycleGivesZero) {
@@ -292,8 +245,7 @@ TEST(SpaEvaluatorTest, UniformScalingOfDfactsCycleGivesZero) {
   // the Grams instead of their factors reads ~4e-9 at 0.8/1.2 and ~5e-5
   // at 1e4 (where I+S has condition ~1e4).
   const grid::PowerSystem sys = grid::make_case4();
-  const SpaEvaluator eval(sys, grid::measurement_matrix(sys));
-  ASSERT_TRUE(eval.incremental());
+  const SpaEvaluator eval(sys, sys.reactances());
   for (const double factor : {0.8, 1.2, 1e4}) {
     linalg::Vector x = sys.reactances();
     for (std::size_t l : sys.dfacts_branches()) x[l] *= factor;
@@ -305,8 +257,7 @@ TEST(SpaEvaluatorTest, SharedEvaluatorIsBitIdenticalAcrossThreads) {
   // gamma() is const with no scratch state: eight threads hammering one
   // evaluator must reproduce the serial values bit for bit.
   const grid::PowerSystem sys = grid::make_case57();
-  const SpaEvaluator eval(sys, grid::measurement_matrix(sys));
-  ASSERT_TRUE(eval.incremental());
+  const SpaEvaluator eval(sys, sys.reactances());
   stats::Rng rng(77);
   const linalg::Vector lo = sys.reactance_lower_limits();
   const linalg::Vector hi = sys.reactance_upper_limits();
@@ -339,60 +290,54 @@ TEST(SpaEvaluatorTest, SharedEvaluatorIsBitIdenticalAcrossThreads) {
       EXPECT_EQ(parallel[t][i], serial[i]) << "thread " << t << " x " << i;
 }
 
+void expect_invalid_key(const grid::PowerSystem& sys,
+                        const linalg::Vector& x_ref,
+                        const std::string& message) {
+  try {
+    const SpaEvaluator eval(sys, x_ref);
+    FAIL() << "expected std::invalid_argument(\"" << message << "\")";
+  } catch (const std::invalid_argument& e) {
+    EXPECT_EQ(std::string(e.what()), message);
+  }
+}
+
 TEST(SpaEvaluatorTest, RejectsWrongDimensions) {
   const grid::PowerSystem sys = grid::make_case14();
-  EXPECT_THROW(SpaEvaluator(sys, linalg::Matrix(3, 2)),
-               std::invalid_argument);
-  const linalg::Matrix h0 = grid::measurement_matrix(sys);
-  const SpaEvaluator eval(sys, h0);
+  expect_invalid_key(sys, linalg::Vector(3, 0.1),
+                     "SpaEvaluator: reference reactance vector length");
+  const SpaEvaluator eval(sys, sys.reactances());
   EXPECT_THROW(eval.gamma(linalg::Vector(2)), std::invalid_argument);
 }
 
-// --- sparse attacker-matrix construction --------------------------------
-
-TEST(SpaEvaluatorSparseTest, SparseConstructionEntersIncrementalMode) {
-  // CSR H from the sparse measurement model: recognition runs on the CSR
-  // entries and the evaluator behaves exactly like its dense twin.
+TEST(SpaEvaluatorTest, RejectsNonPositiveReferenceReactance) {
   const grid::PowerSystem sys = grid::make_case14();
-  const linalg::Matrix h0 = grid::measurement_matrix(sys);
-  const SpaEvaluator dense_eval(sys, h0);
-  const SpaEvaluator sparse_eval(sys, grid::sparse_measurement_matrix(sys));
-  ASSERT_TRUE(sparse_eval.incremental());
-
-  stats::Rng rng(9);
-  const linalg::Vector lo = sys.reactance_lower_limits();
-  const linalg::Vector hi = sys.reactance_upper_limits();
-  for (int t = 0; t < 5; ++t) {
+  for (const double bad : {0.0, -0.1}) {
     linalg::Vector x = sys.reactances();
-    for (std::size_t l : sys.dfacts_branches())
-      if (rng.uniform() < 0.7) x[l] = rng.uniform(lo[l], hi[l]);
-    const double reference = spa(h0, grid::measurement_matrix(sys, x));
-    EXPECT_NEAR(sparse_eval.gamma(x), reference, 1e-10);
-    // The dense constructor compresses to CSR and takes the same path, so
-    // the gammas agree bit for bit.
-    EXPECT_EQ(sparse_eval.gamma(x), dense_eval.gamma(x));
+    x[3] = bad;
+    expect_invalid_key(sys, x,
+                       "SpaEvaluator: reference reactances must be > 0");
   }
-  EXPECT_EQ(sparse_eval.gamma(sys.reactances()), 0.0);
 }
 
-TEST(SpaEvaluatorSparseTest, UnrecognizedSparseMatrixFallsBack) {
+TEST(SpaEvaluatorTest, RejectsRankDeficientReference) {
+  // A radial branch at reactance 1e30 all but cuts its leaf bus off: the
+  // Gram fails its pivot test, and the QR tables find no full column
+  // rank either.
   const grid::PowerSystem sys = grid::make_case14();
-  // Corrupt one flow entry: no reactance vector reproduces this matrix.
-  linalg::Matrix h = grid::measurement_matrix(sys);
-  h(0, 0) *= 1.5;
-  const SpaEvaluator eval(sys, linalg::SparseMatrix::from_dense(h));
-  EXPECT_FALSE(eval.incremental());
-
+  std::vector<int> degree(sys.num_buses(), 0);
+  for (std::size_t l = 0; l < sys.num_branches(); ++l) {
+    ++degree[sys.branch(l).from];
+    ++degree[sys.branch(l).to];
+  }
+  const auto is_radial = [&](std::size_t l) {
+    return degree[sys.branch(l).from] == 1 || degree[sys.branch(l).to] == 1;
+  };
+  std::size_t radial = 0;
+  while (radial < sys.num_branches() && !is_radial(radial)) ++radial;
+  ASSERT_LT(radial, sys.num_branches());
   linalg::Vector x = sys.reactances();
-  x[sys.dfacts_branches()[0]] *= 1.3;
-  EXPECT_NEAR(eval.gamma(x), spa(h, grid::measurement_matrix(sys, x)),
-              1e-10);
-}
-
-TEST(SpaEvaluatorSparseTest, RejectsWrongSparseDimensions) {
-  const grid::PowerSystem sys = grid::make_case14();
-  EXPECT_THROW(SpaEvaluator(sys, linalg::SparseMatrix(3, 2)),
-               std::invalid_argument);
+  x[radial] = 1e30;
+  expect_invalid_key(sys, x, "SpaEvaluator: H(x_ref) is rank deficient");
 }
 
 }  // namespace

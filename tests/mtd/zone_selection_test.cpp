@@ -14,7 +14,6 @@
 
 #include "core/thread_pool.hpp"
 #include "grid/compose.hpp"
-#include "grid/measurement.hpp"
 #include "io/case_registry.hpp"
 #include "mtd/selection.hpp"
 #include "mtd/zone_selection.hpp"
@@ -45,8 +44,7 @@ mtd::MtdSelectionResult standalone(const grid::ZoneSystem& zone,
   const opf::DispatchResult base = opf::solve_dc_opf(zone.system);
   EXPECT_TRUE(base.feasible);
   stats::Rng rng = stats::make_stream(kSeed, z);
-  return mtd::select_mtd_perturbation(zone.system,
-                                      grid::measurement_matrix(zone.system),
+  return mtd::select_mtd_perturbation(zone.system, zone.system.reactances(),
                                       base.cost, opt.selection, rng);
 }
 

@@ -4,6 +4,10 @@
 
 #include <algorithm>
 #include <cmath>
+#include <cstddef>
+#include <string>
+#include <thread>
+#include <vector>
 
 #include "grid/cases.hpp"
 #include "grid/power_flow.hpp"
@@ -241,6 +245,72 @@ TEST(DispatchEvaluatorTest, FastPathIsTakenWhenUncongested) {
   EXPECT_NEAR(fast.cost, reference.cost, 1e-9 * (1.0 + reference.cost));
   EXPECT_EQ(evaluator.fast_path_hits(), 1u);
   EXPECT_EQ(evaluator.lp_fallbacks(), 0u);
+}
+
+TEST(DispatchEvaluatorTest, SharedEvaluatorIsBitIdenticalAcrossThreads) {
+  // The selection sweep shares one evaluator across the pool: eight
+  // threads calling it at once must reproduce the serial dispatches bit
+  // for bit, and the atomic counters must account for every call. The
+  // line the merit-order dispatch loads most is capped at its flow at
+  // nominal reactances, so the candidates land on both sides of the
+  // limit and exercise both the certificate and the simplex fallback.
+  PowerSystem sys = grid::make_case57();
+  const DispatchResult relaxed =
+      DispatchEvaluator(sys).evaluate(sys.reactances());
+  ASSERT_TRUE(relaxed.feasible);
+  std::size_t busiest = 0;
+  for (std::size_t l = 1; l < sys.num_branches(); ++l)
+    if (std::abs(relaxed.flows_mw[l]) > std::abs(relaxed.flows_mw[busiest]))
+      busiest = l;
+  sys.branch(busiest).flow_limit_mw = std::abs(relaxed.flows_mw[busiest]);
+
+  stats::Rng rng(808);
+  const linalg::Vector lo = sys.reactance_lower_limits();
+  const linalg::Vector hi = sys.reactance_upper_limits();
+  std::vector<linalg::Vector> xs;
+  for (int t = 0; t < 24; ++t) {
+    linalg::Vector x = sys.reactances();
+    for (std::size_t l : sys.dfacts_branches())
+      x[l] = rng.uniform(lo[l], hi[l]);
+    xs.push_back(std::move(x));
+  }
+  const DispatchEvaluator evaluator(sys);
+  std::vector<DispatchResult> serial;
+  for (const linalg::Vector& x : xs) serial.push_back(evaluator.evaluate(x));
+  EXPECT_GT(evaluator.fast_path_hits(), 0u);
+  EXPECT_GT(evaluator.lp_fallbacks(), 0u);
+
+  constexpr std::size_t kThreads = 8;
+  std::vector<std::vector<DispatchResult>> parallel(
+      kThreads, std::vector<DispatchResult>(xs.size()));
+  std::vector<std::thread> threads;
+  for (std::size_t t = 0; t < kThreads; ++t)
+    threads.emplace_back([&, t] {
+      for (std::size_t i = 0; i < xs.size(); ++i) {
+        const std::size_t c = (i + 3 * t) % xs.size();
+        parallel[t][c] = evaluator.evaluate(xs[c]);
+      }
+    });
+  for (std::thread& th : threads) th.join();
+
+  const auto expect_same = [](const linalg::Vector& a,
+                              const linalg::Vector& b) {
+    ASSERT_EQ(a.size(), b.size());
+    for (std::size_t i = 0; i < a.size(); ++i) EXPECT_EQ(a[i], b[i]);
+  };
+  for (std::size_t t = 0; t < kThreads; ++t)
+    for (std::size_t i = 0; i < xs.size(); ++i) {
+      SCOPED_TRACE("thread " + std::to_string(t) + " x " +
+                   std::to_string(i));
+      const DispatchResult& got = parallel[t][i];
+      EXPECT_EQ(got.feasible, serial[i].feasible);
+      EXPECT_EQ(got.cost, serial[i].cost);
+      expect_same(got.generation_mw, serial[i].generation_mw);
+      expect_same(got.theta_reduced, serial[i].theta_reduced);
+      expect_same(got.flows_mw, serial[i].flows_mw);
+    }
+  EXPECT_EQ(evaluator.fast_path_hits() + evaluator.lp_fallbacks(),
+            (kThreads + 1) * xs.size());
 }
 
 }  // namespace

@@ -41,6 +41,12 @@ class Matrix {
   double& operator()(std::size_t i, std::size_t j);
   double operator()(std::size_t i, std::size_t j) const;
 
+  /// Mutable row-major storage: element (i, j) is `data()[i * cols() + j]`.
+  double* data() { return data_.data(); }
+
+  /// Read-only row-major storage, laid out as for the mutable `data()`.
+  const double* data() const { return data_.data(); }
+
   // --- arithmetic --------------------------------------------------------
   Matrix& operator+=(const Matrix& rhs);
   Matrix& operator-=(const Matrix& rhs);

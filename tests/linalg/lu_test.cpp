@@ -26,6 +26,13 @@ TEST(LuTest, SolveRequiresPivoting) {
   EXPECT_NEAR(x[1], 2.0, 1e-12);
 }
 
+TEST(LuTest, EmptyMatrixFactorsAndSolves) {
+  const LuDecomposition lu(Matrix(0, 0));
+  EXPECT_FALSE(lu.singular());
+  EXPECT_EQ(lu.solve(Vector(0)).size(), 0u);
+  EXPECT_DOUBLE_EQ(lu.determinant(), 1.0);
+}
+
 TEST(LuTest, DetectsSingularMatrix) {
   Matrix a{{1.0, 2.0}, {2.0, 4.0}};
   LuDecomposition lu(a);

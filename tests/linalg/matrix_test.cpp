@@ -34,6 +34,16 @@ TEST(MatrixTest, ColumnFactory) {
   EXPECT_DOUBLE_EQ(c(2, 0), 3.0);
 }
 
+TEST(MatrixTest, DataIsRowMajorStorage) {
+  Matrix m{{1.0, 2.0, 3.0}, {4.0, 5.0, 6.0}};
+  const Matrix& cm = m;
+  for (std::size_t i = 0; i < m.rows(); ++i)
+    for (std::size_t j = 0; j < m.cols(); ++j)
+      EXPECT_EQ(cm.data()[i * m.cols() + j], m(i, j));
+  m.data()[1 * m.cols() + 2] = -1.0;
+  EXPECT_EQ(m(1, 2), -1.0);
+}
+
 TEST(MatrixTest, MatrixProductKnownValues) {
   Matrix a{{1.0, 2.0}, {3.0, 4.0}};
   Matrix b{{5.0, 6.0}, {7.0, 8.0}};

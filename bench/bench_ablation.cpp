@@ -25,10 +25,10 @@ using namespace mtdgrid;
 
 struct Context {
   grid::PowerSystem sys = grid::make_case14();
-  linalg::Matrix h0;
+  linalg::SparseMatrix h0;
   double base_cost = 0.0;
   linalg::Vector x_mtd;
-  linalg::Matrix h_mtd;
+  linalg::SparseMatrix h_mtd;
   linalg::Vector z_ref;
 };
 
@@ -38,7 +38,7 @@ Context make_context() {
   // Nominal-reactance baseline: box center of the D-FACTS range, so the
   // full gamma sweep range is available to the ablations.
   const opf::DispatchResult base = opf::solve_dc_opf(c.sys);
-  c.h0 = grid::measurement_matrix(c.sys);
+  c.h0 = grid::sparse_measurement_matrix(c.sys);
   c.base_cost = base.cost;
 
   mtd::MtdSelectionOptions sel;
@@ -47,7 +47,7 @@ Context make_context() {
   const mtd::MtdSelectionResult r = mtd::select_mtd_perturbation(
       c.sys, c.sys.reactances(), c.base_cost, sel, rng);
   c.x_mtd = r.reactances;
-  c.h_mtd = r.h_mtd;
+  c.h_mtd = grid::sparse_measurement_matrix(c.sys, r.reactances);
   c.z_ref = grid::noiseless_measurements(c.sys, r.reactances,
                                          r.dispatch.theta_reduced);
   return c;

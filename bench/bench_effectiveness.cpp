@@ -137,8 +137,9 @@ void run_figure(const grid::PowerSystem& sys_in,
         grid::noiseless_measurements(sys, *x, d.theta_reduced);
     mtd::EffectivenessOptions eff = effectiveness_options(scale);
     eff.deltas = deltas;
-    const mtd::EffectivenessResult res =
-        mtd::evaluate_effectiveness(h0, h_mtd, z_ref, eff, rng);
+    const mtd::EffectivenessResult res = mtd::evaluate_effectiveness(
+        grid::sparse_measurement_matrix(sys),
+        grid::sparse_measurement_matrix(sys, *x), z_ref, eff, rng);
     std::printf("  %-14.3f %10.3f %10.3f %10.3f %10.3f\n",
                 mtd::spa(h0, h_mtd), res.eta[0], res.eta[1], res.eta[2],
                 res.eta[3]);
@@ -171,10 +172,10 @@ void run_experiment() {
 void BM_EffectivenessEvaluation(benchmark::State& state) {
   grid::PowerSystem sys = grid::make_case14();
   stats::Rng rng(7);
-  const linalg::Matrix h0 = grid::measurement_matrix(sys);
+  const linalg::SparseMatrix h0 = grid::sparse_measurement_matrix(sys);
   linalg::Vector x = sys.reactances();
   for (std::size_t l : sys.dfacts_branches()) x[l] *= 1.35;
-  const linalg::Matrix h_mtd = grid::measurement_matrix(sys, x);
+  const linalg::SparseMatrix h_mtd = grid::sparse_measurement_matrix(sys, x);
   const opf::DispatchResult d = opf::solve_dc_opf(sys, x);
   const linalg::Vector z_ref =
       grid::noiseless_measurements(sys, x, d.theta_reduced);
@@ -194,12 +195,12 @@ BENCHMARK(BM_EffectivenessEvaluation)->Arg(100)->Arg(500);
 void BM_EffectivenessBatched(benchmark::State& state) {
   grid::PowerSystem sys = grid::make_case14();
   stats::Rng rng(7);
-  const linalg::Matrix h0 = grid::measurement_matrix(sys);
-  std::vector<linalg::Matrix> candidates;
+  const linalg::SparseMatrix h0 = grid::sparse_measurement_matrix(sys);
+  std::vector<linalg::SparseMatrix> candidates;
   for (double factor : {0.8, 0.9, 1.1, 1.2, 1.3, 1.35, 1.4, 1.45}) {
     linalg::Vector x = sys.reactances();
     for (std::size_t l : sys.dfacts_branches()) x[l] *= factor;
-    candidates.push_back(grid::measurement_matrix(sys, x));
+    candidates.push_back(grid::sparse_measurement_matrix(sys, x));
   }
   linalg::Vector x = sys.reactances();
   for (std::size_t l : sys.dfacts_branches()) x[l] *= 1.35;
@@ -229,10 +230,10 @@ BENCHMARK(BM_EffectivenessBatched)->Arg(100)->Arg(500);
 void BM_Case118EffectivenessParallel(benchmark::State& state) {
   const std::size_t threads = static_cast<std::size_t>(state.range(0));
   grid::PowerSystem sys = io::load_case("case118");
-  const linalg::Matrix h0 = grid::measurement_matrix(sys);
+  const linalg::SparseMatrix h0 = grid::sparse_measurement_matrix(sys);
   linalg::Vector x = sys.reactances();
   for (std::size_t l : sys.dfacts_branches()) x[l] *= 1.35;
-  const linalg::Matrix h_mtd = grid::measurement_matrix(sys, x);
+  const linalg::SparseMatrix h_mtd = grid::sparse_measurement_matrix(sys, x);
   const opf::DispatchResult d = opf::solve_dc_opf(sys, x);
   const linalg::Vector z_ref =
       grid::noiseless_measurements(sys, x, d.theta_reduced);

@@ -160,11 +160,11 @@ BENCHMARK(BM_Spa)->DenseRange(0, 4);
 
 void BM_AnalyticDetectionProbability(benchmark::State& state) {
   const grid::PowerSystem sys = grid::make_case14();
-  const linalg::Matrix h0 = grid::measurement_matrix(sys);
+  const linalg::SparseMatrix h0 = grid::sparse_measurement_matrix(sys);
   linalg::Vector x = sys.reactances();
   for (std::size_t l : sys.dfacts_branches()) x[l] *= 1.3;
-  const estimation::StateEstimator est(grid::measurement_matrix(sys, x),
-                                       0.1);
+  const estimation::StateEstimator est(
+      grid::sparse_measurement_matrix(sys, x), 0.1);
   const estimation::BadDataDetector bdd(est, 5e-4);
   stats::Rng rng(3);
   const attack::FdiAttack atk = attack::random_stealthy_attack(
@@ -312,26 +312,6 @@ void BM_LargestPrincipalAngleQr(benchmark::State& state) {
   state.SetLabel(system_name(static_cast<int>(state.range(0))));
 }
 BENCHMARK(BM_LargestPrincipalAngleQr)->DenseRange(0, 5);
-
-void BM_IncrementalHUpdate(benchmark::State& state) {
-  const grid::PowerSystem sys = grid::make_case57();
-  const linalg::Vector x0 = sys.reactances();
-  linalg::Vector x1 = x0;
-  for (std::size_t l : sys.dfacts_branches()) x1[l] *= 1.3;
-  const auto changed = grid::changed_branches(x0, x1);
-  linalg::Matrix h = grid::measurement_matrix(sys, x0);
-  bool forward = true;
-  for (auto _ : state) {
-    if (forward) {
-      grid::update_measurement_matrix(sys, h, x0, x1, changed);
-    } else {
-      grid::update_measurement_matrix(sys, h, x1, x0, changed);
-    }
-    forward = !forward;
-    benchmark::DoNotOptimize(h);
-  }
-}
-BENCHMARK(BM_IncrementalHUpdate);
 
 void BM_DispatchEvaluatorCase57(benchmark::State& state) {
   const grid::PowerSystem sys = grid::make_case57();

@@ -33,7 +33,7 @@ constexpr double kSigmaMw = 0.005;
 
 struct Baseline {
   grid::PowerSystem sys;
-  linalg::Matrix h0;
+  linalg::SparseMatrix h0;
   linalg::Vector z0;
 };
 
@@ -41,7 +41,7 @@ Baseline make_baseline() {
   grid::PowerSystem sys = grid::make_case14();
   const opf::DispatchResult base = opf::solve_dc_opf(sys);
   Baseline b{std::move(sys), {}, {}};
-  b.h0 = grid::measurement_matrix(b.sys);
+  b.h0 = grid::sparse_measurement_matrix(b.sys);
   b.z0 = grid::noiseless_measurements(b.sys, b.sys.reactances(),
                                       base.theta_reduced);
   return b;
@@ -60,13 +60,14 @@ void run_fig7(const Baseline& b, bench::Scale scale) {
   for (int trial = 0; trial < 5; ++trial) {
     const linalg::Vector x = mtd::random_reactance_perturbation(
         b.sys, b.sys.reactances(), 0.02, rng);
-    const linalg::Matrix hp = grid::measurement_matrix(b.sys, x);
+    const linalg::SparseMatrix hp = grid::sparse_measurement_matrix(b.sys, x);
     mtd::EffectivenessOptions eff;
     eff.num_attacks = bench::attacks_for(scale);
     eff.sigma_mw = kSigmaMw;
     eff.deltas = deltas;
     const auto r = mtd::evaluate_effectiveness(b.h0, hp, b.z0, eff, rng);
-    std::printf("  %-8d %-12.4f", trial + 1, mtd::spa(b.h0, hp));
+    std::printf("  %-8d %-12.4f", trial + 1,
+                mtd::spa(b.h0.to_dense(), hp.to_dense()));
     for (double eta : r.eta) std::printf(" %9.3f", eta);
     std::printf("\n");
   }
@@ -93,7 +94,7 @@ void run_fig8(const Baseline& b, bench::Scale scale) {
     const linalg::Vector x = mtd::random_reactance_perturbation(
         b.sys, b.sys.reactances(), 0.02, rng);
     const auto r = mtd::evaluate_effectiveness(
-        b.h0, grid::measurement_matrix(b.sys, x), b.z0, eff, rng);
+        b.h0, grid::sparse_measurement_matrix(b.sys, x), b.z0, eff, rng);
     for (std::size_t i = 0; i < deltas.size(); ++i)
       if (r.eta[i] >= 0.9) ++hits[i];
   }
@@ -125,7 +126,7 @@ void BM_KeyspaceMemberEvaluation(benchmark::State& state) {
     const linalg::Vector x = mtd::random_reactance_perturbation(
         b.sys, b.sys.reactances(), 0.02, rng);
     benchmark::DoNotOptimize(mtd::evaluate_effectiveness(
-        b.h0, grid::measurement_matrix(b.sys, x), b.z0, eff, rng));
+        b.h0, grid::sparse_measurement_matrix(b.sys, x), b.z0, eff, rng));
   }
 }
 BENCHMARK(BM_KeyspaceMemberEvaluation);

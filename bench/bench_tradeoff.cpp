@@ -30,8 +30,8 @@ void run_experiment() {
   // Attacker knowledge: the no-MTD system at 5 PM (one hour stale).
   trace.apply(sys, 16, base_loads);
   const opf::ReactanceOpfResult base_5pm = opf::solve_reactance_opf(sys, rng);
-  const linalg::Matrix h_attacker =
-      grid::measurement_matrix(sys, base_5pm.reactances);
+  const linalg::SparseMatrix h_attacker =
+      grid::sparse_measurement_matrix(sys, base_5pm.reactances);
 
   // Defender operates at the 6 PM load.
   trace.apply(sys, 17, base_loads);
@@ -78,8 +78,9 @@ void run_experiment() {
     eff.num_attacks = bench::attacks_for(scale);
     eff.sigma_mw = 0.05;
     eff.deltas = deltas;
-    const auto e =
-        mtd::evaluate_effectiveness(h_attacker, r.h_mtd, z_ref, eff, rng);
+    const auto e = mtd::evaluate_effectiveness(
+        h_attacker, grid::sparse_measurement_matrix(sys, r.reactances), z_ref,
+        eff, rng);
     std::printf("  %-10.2f %-12.3f %10.3f %10.3f %10.3f %10.3f %11.3f%%\n",
                 gamma_th, r.spa, e.eta[0], e.eta[1], e.eta[2], e.eta[3],
                 100.0 * std::max(0.0, r.cost_increase));

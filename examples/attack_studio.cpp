@@ -40,6 +40,7 @@ int main(int argc, char** argv) {
 
   const grid::PowerSystem sys = grid::make_case4();
   const linalg::Matrix h0 = grid::measurement_matrix(sys);
+  const linalg::SparseMatrix h0_csr = grid::sparse_measurement_matrix(sys);
   const double sigma = 0.05;
 
   std::printf("4-bus system, single-line MTD perturbations at eta = %.0f%%\n",
@@ -57,7 +58,7 @@ int main(int argc, char** argv) {
   for (std::size_t bus = 0; bus < sys.num_buses() - 1; ++bus) {
     linalg::Vector c(sys.num_buses() - 1);
     c[bus] = 0.05;  // 0.05 rad fake offset at bus (bus+2) in 1-based terms
-    const attack::FdiAttack atk = attack::make_stealthy_attack(h0, c);
+    const attack::FdiAttack atk = attack::make_stealthy_attack(h0_csr, c);
     std::printf("  c = e_%zu     ", bus + 2);
     for (std::size_t line = 0; line < sys.num_branches(); ++line) {
       linalg::Vector x = sys.reactances();
@@ -104,7 +105,7 @@ int main(int argc, char** argv) {
   double min_pd = 1.0;
   for (int t = 0; t < 200; ++t) {
     const attack::FdiAttack atk = attack::random_stealthy_attack(
-        h0, linalg::Vector(h0.rows(), 50.0), 0.08, rng);
+        h0_csr, linalg::Vector(h0.rows(), 50.0), 0.08, rng);
     if (attack::remains_stealthy_under(h_perp, atk)) ++stealthy;
     min_pd = std::min(min_pd, estimation::analytic_detection_probability(
                                   est_perp, bdd_perp, atk.a));

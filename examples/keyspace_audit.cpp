@@ -87,7 +87,7 @@ int main(int argc, char** argv) {
     std::fprintf(stderr, "base OPF infeasible\n");
     return 1;
   }
-  const linalg::Matrix h0 = grid::measurement_matrix(sys);
+  const linalg::SparseMatrix h0 = grid::sparse_measurement_matrix(sys);
   const linalg::Vector z0 = grid::noiseless_measurements(
       sys, sys.reactances(), base.theta_reduced);
 
@@ -113,13 +113,13 @@ int main(int argc, char** argv) {
   gammas.reserve(keyspace_size);
   for (int start = 0; start < keyspace_size; start += kChunk) {
     const int count = std::min(kChunk, keyspace_size - start);
-    std::vector<linalg::Matrix> chunk;
+    std::vector<linalg::SparseMatrix> chunk;
     chunk.reserve(count);
     for (int k = 0; k < count; ++k) {
       const linalg::Vector x = mtd::random_reactance_perturbation(
           sys, sys.reactances(), 0.02, rng);
       gammas.push_back(spa_eval.gamma(x));
-      chunk.push_back(grid::measurement_matrix(sys, x));
+      chunk.push_back(grid::sparse_measurement_matrix(sys, x));
     }
     stats::Rng attack_rng(kAttackSeed);
     const auto results =
@@ -158,8 +158,9 @@ int main(int argc, char** argv) {
                                    rng);
   const linalg::Vector z_mtd = grid::noiseless_measurements(
       sys, designed.reactances, designed.dispatch.theta_reduced);
-  const auto designed_eff =
-      mtd::evaluate_effectiveness(h0, designed.h_mtd, z_mtd, eff, rng);
+  const auto designed_eff = mtd::evaluate_effectiveness(
+      h0, grid::sparse_measurement_matrix(sys, designed.reactances), z_mtd,
+      eff, rng);
 
   std::printf("SPA-designed perturbation (gamma_th = 0.25):\n");
   std::printf("  gamma = %.3f rad, eta'(0.5) = %.3f, cost increase = "

@@ -39,7 +39,7 @@ int main(int argc, char** argv) {
   std::printf("No-MTD OPF cost: $%.2f/h\n\n", base.cost);
 
   // --- 2. The attacker learns H and crafts a stealthy attack -------------
-  const linalg::Matrix h = grid::measurement_matrix(sys);
+  const linalg::SparseMatrix h = grid::sparse_measurement_matrix(sys);
   const linalg::Vector z_true = grid::noiseless_measurements(
       sys, sys.reactances(), base.theta_reduced);
   const attack::FdiAttack attack =
@@ -68,7 +68,8 @@ int main(int argc, char** argv) {
               100.0 * std::max(0.0, defense.cost_increase));
 
   // --- 4. The same attack against the moved target -----------------------
-  const estimation::StateEstimator estimator_mtd(defense.h_mtd, sigma);
+  const estimation::StateEstimator estimator_mtd(
+      grid::sparse_measurement_matrix(sys, defense.reactances), sigma);
   const estimation::BadDataDetector bdd_mtd(estimator_mtd, 5e-4);
   const double pd_after = estimation::analytic_detection_probability(
       estimator_mtd, bdd_mtd, attack.a);

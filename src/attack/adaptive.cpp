@@ -104,7 +104,6 @@ KeyEstimate estimate_key(const grid::PowerSystem& sys,
     est.reactances[l] = std::clamp(x, lo[l], hi[l]);
     ++est.identified_branches;
   }
-  est.h = grid::measurement_matrix(sys, est.reactances);
   return est;
 }
 

@@ -4,7 +4,6 @@
 #include <vector>
 
 #include "grid/power_system.hpp"
-#include "linalg/matrix.hpp"
 #include "linalg/vector.hpp"
 
 namespace mtdgrid::attack {
@@ -41,10 +40,9 @@ struct KeyEstimationOptions {
 };
 
 /// The attacker's reconstruction of the defender's current D-FACTS key
-/// from probe-oracle samples.
+/// from probe-oracle samples: like every key, a reactance vector.
 struct KeyEstimate {
   linalg::Vector reactances;      ///< estimated full reactance vector x-hat
-  linalg::Matrix h;               ///< H(x-hat): the estimated subspace basis
   std::size_t probes_used = 0;    ///< oracle samples consumed
   /// D-FACTS branches whose reactance was actually identified from the
   /// probes (the rest fell back to nominal: flow too small, or an endpoint
@@ -70,9 +68,9 @@ struct KeyEstimate {
 ///     x_l = base_mva (theta_i - theta_j) / f_l, clamped to the device
 ///     limits, falling back to nominal when |f_l| < min_flow_mw.
 ///
-/// The returned H(x-hat) converges to the defender's Col(H') as the probe
-/// budget grows and goes stale the moment the defender re-keys — the two
-/// properties the campaign engine's knowledge frontier measures.
+/// H(x-hat) converges to the defender's Col(H') as the probe budget grows
+/// and goes stale the moment the defender re-keys — the two properties
+/// the campaign engine's knowledge frontier measures.
 /// Deterministic: a pure function of `(sys, probes, options)`.
 KeyEstimate estimate_key(const grid::PowerSystem& sys,
                          const std::vector<linalg::Vector>& probes,

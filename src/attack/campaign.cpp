@@ -16,18 +16,16 @@ namespace mtdgrid::attack {
 
 namespace {
 
-/// One adopted key: what the defender operates (and what an attacker who
-/// captured it can replay).
-struct KeyState {
-  linalg::Matrix h;           ///< the key's measurement matrix H'
-  linalg::Vector reactances;  ///< the key's full reactance vector
-};
+/// One adopted key, its full reactance vector: what the defender operates
+/// and what an attacker who captured it can replay. Schedules holding the
+/// same key share one copy.
+using KeyState = std::shared_ptr<const linalg::Vector>;
 
 /// One trajectory hour as the campaign scores it.
 struct HourState {
   bool scored = false;  ///< keyed, dispatched, and past the first re-key
-  std::shared_ptr<const KeyState> key;   ///< key in force this hour
-  std::shared_ptr<const KeyState> prev;  ///< key retired at the last re-key
+  KeyState key;         ///< key in force this hour
+  KeyState prev;        ///< key retired at the last re-key
   linalg::Vector z_ref;  ///< noiseless measurements at the operating point
 };
 
@@ -44,10 +42,9 @@ std::vector<std::vector<HourState>> defender_trajectories(
   std::vector<std::vector<HourState>> trajectories(options.rekey_every.size());
   for (std::size_t h = 0; h < options.horizon_hours; ++h) {
     mtd::DailyHourOutcome out = engine.advance_hour(rng);
-    std::shared_ptr<const KeyState> fresh;  // shared by adopting schedules
+    KeyState fresh;  // shared by adopting schedules
     if (out.record.feasible)
-      fresh = std::make_shared<const KeyState>(
-          KeyState{std::move(out.h_mtd), std::move(out.reactances)});
+      fresh = std::make_shared<const linalg::Vector>(std::move(out.reactances));
     for (std::size_t s = 0; s < trajectories.size(); ++s) {
       std::vector<HourState>& hours = trajectories[s];
       HourState hour;  // the keys carry over from the schedule's last hour
@@ -61,10 +58,10 @@ std::vector<std::vector<HourState>> defender_trajectories(
         // Held key: re-dispatch for this hour's loads (the engine applied
         // them during advance_hour).
         const opf::DispatchResult d =
-            opf::solve_dc_opf(engine.system(), hour.key->reactances);
+            opf::solve_dc_opf(engine.system(), *hour.key);
         if (d.feasible) {
-          hour.z_ref = grid::noiseless_measurements(
-              engine.system(), hour.key->reactances, d.theta_reduced);
+          hour.z_ref = grid::noiseless_measurements(engine.system(), *hour.key,
+                                                    d.theta_reduced);
           hour.scored = true;
         }
       }
@@ -109,6 +106,57 @@ std::vector<AttackerSpec> default_attackers() {
   panel.push_back({AttackerPolicy::kOmniscient, 0, 0});
   panel.push_back({AttackerPolicy::kRamp, 0, 3});
   return panel;
+}
+
+HourScore score_hour(const grid::PowerSystem& sys,
+                     const AttackerSpec& attacker, const HourKeys& keys,
+                     const HourScoring& scoring, stats::Rng& rng) {
+  mtd::EffectivenessOptions eff = scoring.effectiveness;
+  eff.deltas = {scoring.target_delta};
+  const linalg::Vector nominal = sys.reactances();
+  HourScore score;
+  KeyEstimate estimate;
+  const linalg::Vector* known = &nominal;  // the attacker's key
+  switch (attacker.policy) {
+    case AttackerPolicy::kZeroKnowledge:
+      break;
+    case AttackerPolicy::kStaleKey:
+      known = &keys.prev;
+      score.replayed = true;  // the replayed key is retired
+      break;
+    case AttackerPolicy::kProbe:
+      estimate = probe_and_estimate_key(sys, keys.z_ref, eff.sigma_mw,
+                                        scoring.probe_root, keys.hour,
+                                        attacker.probe_budget,
+                                        scoring.estimation);
+      known = &estimate.reactances;
+      score.probes = static_cast<std::uint64_t>(attacker.probe_budget);
+      break;
+    case AttackerPolicy::kOmniscient:
+      known = &keys.key;
+      break;
+    case AttackerPolicy::kRamp:
+      // Knowledge locked at the ramp window's first hour; magnitude ramps
+      // linearly across the window. Until the defender re-keys mid-window
+      // the attack stays stealthy; afterwards the locked key is a
+      // boundary-crossing replay.
+      if (keys.ramp_step >= attacker.ramp_hours)
+        throw std::invalid_argument(
+            "score_hour: ramp_step must be below ramp_hours");
+      if (keys.ramp_key != nullptr) known = keys.ramp_key;
+      score.replayed = keys.ramp_key != &keys.key;
+      eff.attack_relative_magnitude *=
+          static_cast<double>(keys.ramp_step + 1) /
+          static_cast<double>(attacker.ramp_hours);
+      break;
+  }
+  if (score.replayed) obs::add(obs::Work::kStaleReplays);
+  const mtd::EffectivenessResult er = mtd::evaluate_effectiveness(
+      grid::sparse_measurement_matrix(sys, *known),
+      grid::sparse_measurement_matrix(sys, keys.key), keys.z_ref, eff, rng);
+  score.mean_detection = er.mean_detection;
+  score.eta = er.eta[0];
+  return score;
 }
 
 std::string to_json(const CampaignFrontier& frontier) {
@@ -171,12 +219,9 @@ CampaignFrontier run_campaign(const grid::PowerSystem& sys,
   frontier.target_delta = opt.daily.target_delta;
   frontier.horizon_hours = opt.horizon_hours;
 
-  // The attacker's zero-knowledge matrix: H depends only on topology and
-  // reactances, so the public nominal case data pins it exactly.
-  const linalg::Matrix h_nominal = grid::measurement_matrix(sys);
-  const double sigma = opt.daily.effectiveness.sigma_mw;
-  const std::uint64_t probe_root =
-      stats::stream_seed(opt.seed, kProbeOracleTag);
+  const HourScoring scoring{opt.daily.effectiveness, opt.daily.target_delta,
+                            stats::stream_seed(opt.seed, kProbeOracleTag),
+                            opt.estimation};
   const std::uint64_t campaign_root =
       stats::stream_seed(opt.seed, kCampaignStreamTag);
 
@@ -196,56 +241,19 @@ CampaignFrontier run_campaign(const grid::PowerSystem& sys,
       for (std::size_t h = 0; h < hours.size(); ++h) {
         const HourState& hour = hours[h];
         if (!hour.scored) continue;
-        mtd::EffectivenessOptions eff = opt.daily.effectiveness;
-        eff.deltas = {opt.daily.target_delta};
-        KeyEstimate estimate;             // keeps the probe H alive
-        const linalg::Matrix* h_attacker = &h_nominal;
-        bool crossed_boundary = false;
-        switch (spec.policy) {
-          case AttackerPolicy::kZeroKnowledge:
-            break;
-          case AttackerPolicy::kStaleKey:
-            h_attacker = &hour.prev->h;
-            crossed_boundary = true;  // the replayed key is retired
-            break;
-          case AttackerPolicy::kProbe:
-            estimate = probe_and_estimate_key(sys, hour.z_ref, sigma,
-                                              probe_root, h,
-                                              spec.probe_budget,
-                                              opt.estimation);
-            h_attacker = &estimate.h;
-            cell.probes_used +=
-                static_cast<std::uint64_t>(spec.probe_budget);
-            break;
-          case AttackerPolicy::kOmniscient:
-            h_attacker = &hour.key->h;
-            break;
-          case AttackerPolicy::kRamp: {
-            // Knowledge locked at the ramp window's first hour; magnitude
-            // ramps linearly across the window. Until the defender
-            // re-keys mid-window the attack stays stealthy; afterwards
-            // the locked key is a boundary-crossing replay.
-            const std::size_t h0 = (h / spec.ramp_hours) * spec.ramp_hours;
-            const std::shared_ptr<const KeyState>& locked = hours[h0].key;
-            h_attacker = locked ? &locked->h : &h_nominal;
-            crossed_boundary = locked != hour.key;
-            eff.attack_relative_magnitude *=
-                static_cast<double>(h - h0 + 1) /
-                static_cast<double>(spec.ramp_hours);
-            break;
-          }
-        }
-        if (crossed_boundary) {
-          obs::add(obs::Work::kStaleReplays);
-          ++cell.boundary_replays;
-        }
+        // The ramp window holding hour h opened at hour h0.
+        const std::size_t h0 =
+            spec.ramp_hours > 0 ? h - h % spec.ramp_hours : h;
+        const HourKeys keys{h, *hour.key, hour.z_ref, *hour.prev,
+                            hours[h0].key.get(), h - h0};
         stats::Rng cell_rng = stats::make_stream(cell_root, h);
-        const mtd::EffectivenessResult er = mtd::evaluate_effectiveness(
-            *h_attacker, hour.key->h, hour.z_ref, eff, cell_rng);
-        cell.hourly_mean_detection.push_back(er.mean_detection);
-        cell.hourly_eta.push_back(er.eta[0]);
-        detection_sum += er.mean_detection;
-        eta_sum += er.eta[0];
+        const HourScore score = score_hour(sys, spec, keys, scoring, cell_rng);
+        cell.probes_used += score.probes;
+        if (score.replayed) ++cell.boundary_replays;
+        cell.hourly_mean_detection.push_back(score.mean_detection);
+        cell.hourly_eta.push_back(score.eta);
+        detection_sum += score.mean_detection;
+        eta_sum += score.eta;
       }
       cell.hours_scored = cell.hourly_mean_detection.size();
       if (cell.hours_scored > 0) {

@@ -8,6 +8,7 @@
 #include "grid/load_trace.hpp"
 #include "grid/power_system.hpp"
 #include "mtd/daily.hpp"
+#include "stats/rng.hpp"
 
 namespace mtdgrid::attack {
 
@@ -45,6 +46,50 @@ struct AttackerSpec {
 /// The default attacker panel: zero-knowledge, stale-key, probe at two
 /// budgets (4 and 32), omniscient, and a 3-hour ramp.
 std::vector<AttackerSpec> default_attackers();
+
+/// The keys one scored hour offers the attacker policies, each a full
+/// length-L reactance vector the caller holds for the call.
+struct HourKeys {
+  std::size_t hour;              ///< the hour the probe oracle samples
+  const linalg::Vector& key;     ///< the key in force
+  const linalg::Vector& z_ref;   ///< noiseless measurements at the hour
+  const linalg::Vector& prev;    ///< the key retired at the last re-key
+  /// kRamp: the key in force at the ramp window's first hour (null: none,
+  /// so the nominal key). Not `&key` itself means a boundary replay.
+  const linalg::Vector* ramp_key = nullptr;
+  std::size_t ramp_step = 0;     ///< kRamp: hours into the window
+};
+
+/// How every hour is scored: the effectiveness methodology (eta is
+/// reported at `target_delta`), the probe oracle's root
+/// `stream_seed(seed, kProbeOracleTag)` and the kProbe estimator knobs.
+struct HourScoring {
+  mtd::EffectivenessOptions effectiveness;  ///< `deltas` is ignored
+  double target_delta = 0.9;                ///< the delta eta is read at
+  std::uint64_t probe_root = 0;             ///< probe-oracle root
+  KeyEstimationOptions estimation;          ///< kProbe estimator knobs
+};
+
+/// One attacker's score for one hour.
+struct HourScore {
+  double mean_detection = 0.0;  ///< mean P'_D over the attack sample
+  double eta = 0.0;             ///< eta'(target_delta)
+  std::uint64_t probes = 0;     ///< oracle samples the attacker drew
+  bool replayed = false;        ///< attacked with a retired key
+};
+
+/// Scores one attacker against one hour's key: the one place a policy
+/// picks the attacker's key (zero: nominal; stale: `prev`, a replay;
+/// probe: `probe_and_estimate_key` of hour `keys.hour`; omniscient:
+/// `key`; ramp: `ramp_key` at (ramp_step + 1) / ramp_hours of the attack
+/// magnitude). Then `mtd::evaluate_effectiveness` on the CSR H of the
+/// attacker's key and of `key`, drawing twice from `rng`. Adds one
+/// `obs::Work::kStaleReplays` per replay. Throws std::invalid_argument
+/// ("score_hour: ramp_step must be below ramp_hours") for a ramp attacker
+/// outside its window.
+HourScore score_hour(const grid::PowerSystem& sys,
+                     const AttackerSpec& attacker, const HourKeys& keys,
+                     const HourScoring& scoring, stats::Rng& rng);
 
 /// Campaign configuration: the scenario grid is
 /// `rekey_every x attackers`, played on the given case against one
@@ -116,6 +161,9 @@ std::string to_json(const CampaignFrontier& frontier);
 /// a current *and* a previous key, so the stale policy is well defined on
 /// exactly the hours every other policy is scored on) and skips hours
 /// where the defender has no feasible key or dispatch.
+///
+/// Every cell hour is one `score_hour` call, the scorer the daemon's
+/// `campaign` verb shares.
 ///
 /// Seeding contract: the engine consumes `Rng(seed)` exactly as
 /// `run_daily_simulation` would; the probe oracle is rooted at

@@ -8,13 +8,13 @@
 
 namespace mtdgrid::attack {
 
-FdiAttack make_stealthy_attack(const linalg::Matrix& h,
+FdiAttack make_stealthy_attack(const linalg::SparseMatrix& h,
                                const linalg::Vector& c) {
   assert(c.size() == h.cols());
   return {c, h * c};
 }
 
-FdiAttack random_stealthy_attack(const linalg::Matrix& h,
+FdiAttack random_stealthy_attack(const linalg::SparseMatrix& h,
                                  const linalg::Vector& z_ref,
                                  double relative_magnitude, stats::Rng& rng) {
   assert(z_ref.size() == h.rows());
@@ -38,7 +38,7 @@ FdiAttack random_stealthy_attack(const linalg::Matrix& h,
   return {std::move(c), std::move(a)};
 }
 
-std::vector<FdiAttack> sample_attacks(const linalg::Matrix& h,
+std::vector<FdiAttack> sample_attacks(const linalg::SparseMatrix& h,
                                       const linalg::Vector& z_ref,
                                       double relative_magnitude, int count,
                                       stats::Rng& rng) {
@@ -47,7 +47,7 @@ std::vector<FdiAttack> sample_attacks(const linalg::Matrix& h,
                                rng.split());
 }
 
-std::vector<FdiAttack> sample_attacks_seeded(const linalg::Matrix& h,
+std::vector<FdiAttack> sample_attacks_seeded(const linalg::SparseMatrix& h,
                                              const linalg::Vector& z_ref,
                                              double relative_magnitude,
                                              int count, std::uint64_t root) {

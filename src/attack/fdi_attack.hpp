@@ -4,6 +4,7 @@
 #include <vector>
 
 #include "linalg/matrix.hpp"
+#include "linalg/sparse_matrix.hpp"
 #include "linalg/vector.hpp"
 #include "stats/rng.hpp"
 
@@ -18,15 +19,16 @@ struct FdiAttack {
   linalg::Vector a;  ///< measurement-space injection a = H c (dim M)
 };
 
-/// Builds the stealthy attack a = H c for an explicit `c`.
-FdiAttack make_stealthy_attack(const linalg::Matrix& h,
+/// Builds the stealthy attack a = H c for an explicit `c`. The builders
+/// take CSR H; the sparse a = H c is bit-equal to the dense product.
+FdiAttack make_stealthy_attack(const linalg::SparseMatrix& h,
                                const linalg::Vector& c);
 
 /// Draws a random stealthy attack the way the paper's Monte-Carlo study
 /// does: c ~ N(0, I), then scaled so that ||a||_1 / ||z_ref||_1 equals
 /// `relative_magnitude` (0.08 in the paper), keeping injections small
 /// relative to the true measurements.
-FdiAttack random_stealthy_attack(const linalg::Matrix& h,
+FdiAttack random_stealthy_attack(const linalg::SparseMatrix& h,
                                  const linalg::Vector& z_ref,
                                  double relative_magnitude, stats::Rng& rng);
 
@@ -36,7 +38,7 @@ FdiAttack random_stealthy_attack(const linalg::Matrix& h,
 /// pool — the sample is a pure function of `(h, z_ref, relative_magnitude,
 /// count, root)`, bit-identical for every thread count, and `rng` advances
 /// by exactly one raw draw regardless of `count`.
-std::vector<FdiAttack> sample_attacks(const linalg::Matrix& h,
+std::vector<FdiAttack> sample_attacks(const linalg::SparseMatrix& h,
                                       const linalg::Vector& z_ref,
                                       double relative_magnitude, int count,
                                       stats::Rng& rng);
@@ -44,7 +46,7 @@ std::vector<FdiAttack> sample_attacks(const linalg::Matrix& h,
 /// The seed-explicit core of `sample_attacks`: attack i is drawn from
 /// `stats::make_stream(root, i)`. Exposed so batched evaluators can share
 /// one attack sample across candidates by passing the same `root`.
-std::vector<FdiAttack> sample_attacks_seeded(const linalg::Matrix& h,
+std::vector<FdiAttack> sample_attacks_seeded(const linalg::SparseMatrix& h,
                                              const linalg::Vector& z_ref,
                                              double relative_magnitude,
                                              int count, std::uint64_t root);

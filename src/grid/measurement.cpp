@@ -109,53 +109,11 @@ std::vector<std::size_t> changed_branches(const linalg::Vector& x_old,
   return changed;
 }
 
-void update_measurement_matrix(const PowerSystem& sys, linalg::Matrix& h,
-                               const linalg::Vector& x_old,
-                               const linalg::Vector& x_new,
-                               const std::vector<std::size_t>& branches) {
-  const std::size_t num_branches = sys.num_branches();
-  const std::size_t num_buses = sys.num_buses();
-  assert(h.rows() == measurement_count(sys));
-  assert(h.cols() == num_buses - 1);
-  assert(x_old.size() == num_branches && x_new.size() == num_branches);
-
-  for (std::size_t l : branches) {
-    const Branch& br = sys.branch(l);
-    const double d_new = sys.base_mva() / x_new[l];
-    const double delta = d_new - sys.base_mva() / x_old[l];
-    const std::size_t cf = reduced_state_column(sys, br.from);
-    const std::size_t ct = reduced_state_column(sys, br.to);
-
-    // Flow rows l (forward) and L + l (reverse): d_l * (e_from - e_to)^T.
-    if (cf < num_buses) {
-      h(l, cf) = d_new;
-      h(num_branches + l, cf) = -d_new;
-    }
-    if (ct < num_buses) {
-      h(l, ct) = -d_new;
-      h(num_branches + l, ct) = d_new;
-    }
-
-    // Injection rows: B += delta * (e_from - e_to)(e_from - e_to)^T, with
-    // the slack column removed (slack *rows* are kept).
-    const std::size_t row_f = 2 * num_branches + br.from;
-    const std::size_t row_t = 2 * num_branches + br.to;
-    if (cf < num_buses) {
-      h(row_f, cf) += delta;
-      h(row_t, cf) -= delta;
-    }
-    if (ct < num_buses) {
-      h(row_t, ct) += delta;
-      h(row_f, ct) -= delta;
-    }
-  }
-}
-
 linalg::Vector noiseless_measurements(const PowerSystem& sys,
                                       const linalg::Vector& x,
                                       const linalg::Vector& theta_reduced) {
   assert(theta_reduced.size() == sys.num_buses() - 1);
-  return measurement_matrix(sys, x) * theta_reduced;
+  return sparse_measurement_matrix(sys, x) * theta_reduced;
 }
 
 }  // namespace mtdgrid::grid

@@ -44,30 +44,20 @@ linalg::SparseMatrix sparse_measurement_matrix(const PowerSystem& sys);
 
 /// Column of the reduced state (slack angle removed) that `bus` maps to,
 /// or `sys.num_buses()` as an out-of-range sentinel for the slack bus
-/// itself (which has no column). Shared by the incremental H update and
-/// the rank-k SPA evaluator so the mapping lives in exactly one place.
+/// itself (which has no column). Shared by the CSR builder and the rank-k
+/// SPA evaluator so the mapping lives in exactly one place.
 std::size_t reduced_state_column(const PowerSystem& sys, std::size_t bus);
 
 /// Indices of branches whose reactance differs between `x_old` and `x_new`
-/// by more than `tol` relative to the old value. This is the D-FACTS
-/// candidate "diff" that drives the incremental H update below.
+/// by more than `rel_tol` relative to the old value: the D-FACTS candidate
+/// "diff" that `mtd::SpaEvaluator` scores.
 std::vector<std::size_t> changed_branches(const linalg::Vector& x_old,
                                           const linalg::Vector& x_new,
                                           double rel_tol = 0.0);
 
-/// Incrementally updates `h` (which must equal `measurement_matrix(sys,
-/// x_old)`) to `measurement_matrix(sys, x_new)`, touching only the rows
-/// affected by `branches` (the changed-branch set). A branch l = (i, j)
-/// with susceptance change delta_l touches exactly: flow rows l and L+l
-/// (rescaled) and at most 4 entries of the injection rows for buses i and
-/// j — O(1) work per changed branch instead of an O(M N) rebuild.
-void update_measurement_matrix(const PowerSystem& sys, linalg::Matrix& h,
-                               const linalg::Vector& x_old,
-                               const linalg::Vector& x_new,
-                               const std::vector<std::size_t>& branches);
-
-/// Noise-free measurement vector z = H theta for the reduced state
-/// `theta_reduced` (length N-1).
+/// Noise-free measurement vector z = H(x) theta for the reduced state
+/// `theta_reduced` (length N-1), multiplied through the CSR H: bit-equal
+/// to the dense product, which only adds exact zeros besides.
 linalg::Vector noiseless_measurements(const PowerSystem& sys,
                                       const linalg::Vector& x,
                                       const linalg::Vector& theta_reduced);

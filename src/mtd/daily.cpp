@@ -90,9 +90,14 @@ DailyHourOutcome DailyEngine::advance_hour(stats::Rng& rng) {
   rec.base_opf_cost = base_[h].cost;
 
   const linalg::Vector& x_attacker = base_[prev].reactances;
-  const linalg::Matrix h_attacker = grid::measurement_matrix(sys_, x_attacker);
-  const linalg::Matrix h_now =
-      grid::measurement_matrix(sys_, base_[h].reactances);
+  const linalg::Vector& x_now = base_[h].reactances;
+  const linalg::SparseMatrix h_attacker =
+      grid::sparse_measurement_matrix(sys_, x_attacker);
+  // The record's angles from this hour's no-MTD key. gamma is symmetric
+  // (sin gamma = ||P - P'||_2 for equal-dimension subspaces), so the one
+  // evaluator also gives gamma(H_t, H_t'); gamma(H_t, H'_t') is the
+  // selection's own.
+  const SpaEvaluator from_now(sys_, x_now);
 
   MtdSelectionOptions sel = options_.selection;
   // Pin the achieved SPA at gamma_th: minimizing cost over the flat-cost
@@ -118,8 +123,9 @@ DailyHourOutcome DailyEngine::advance_hour(stats::Rng& rng) {
         sys_, res.reactances, res.dispatch.theta_reduced);
     EffectivenessOptions eff = options_.effectiveness;
     eff.deltas = {options_.target_delta};
-    const EffectivenessResult er =
-        evaluate_effectiveness(h_attacker, res.h_mtd, z_ref, eff, rng);
+    const EffectivenessResult er = evaluate_effectiveness(
+        h_attacker, grid::sparse_measurement_matrix(sys_, res.reactances),
+        z_ref, eff, rng);
 
     rec.gamma_threshold = sel.gamma_threshold;
     rec.mtd_opf_cost = res.opf_cost;
@@ -128,9 +134,9 @@ DailyHourOutcome DailyEngine::advance_hour(stats::Rng& rng) {
     // the warm-started hourly baseline was not polished to the global
     // optimum, so report "no additional cost".
     rec.cost_increase_pct = std::max(0.0, 100.0 * res.cost_increase);
-    rec.gamma_ht_htp = spa(h_attacker, h_now);
+    rec.gamma_ht_htp = from_now.gamma(x_attacker);
     rec.gamma_ht_hmtd = res.spa;
-    rec.gamma_htp_hmtd = spa(h_now, res.h_mtd);
+    rec.gamma_htp_hmtd = from_now.gamma(res.reactances);
     rec.eta_at_target = er.eta[0];
     rec.feasible = true;
 
@@ -138,7 +144,6 @@ DailyHourOutcome DailyEngine::advance_hour(stats::Rng& rng) {
     out.z_ref = z_ref;
     out.dispatch = std::move(res.dispatch);
     out.reactances = std::move(res.reactances);
-    out.h_mtd = std::move(res.h_mtd);
 
     if (er.eta[0] >= options_.target_eta) {
       done = true;

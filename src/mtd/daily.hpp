@@ -5,7 +5,7 @@
 
 #include "grid/load_trace.hpp"
 #include "grid/power_system.hpp"
-#include "linalg/matrix.hpp"
+#include "linalg/vector.hpp"
 #include "mtd/effectiveness.hpp"
 #include "mtd/selection.hpp"
 #include "opf/dc_opf.hpp"
@@ -49,16 +49,15 @@ struct HourlyRecord {
 };
 
 /// Everything one re-keying step produces: the Fig. 9-11 record plus the
-/// operational state a serving layer needs — the chosen reactances, the
-/// post-MTD measurement matrix (for building a detector), the dispatch,
-/// and the noiseless reference measurement at the new operating point.
+/// operational state a serving layer needs — the key (its reactance
+/// vector), the dispatch, and the noiseless reference measurement at the
+/// new operating point.
 /// When `record.feasible` is false (no gamma grid entry admitted a
 /// feasible selection, or a baseline OPF failed) the operational fields
 /// are empty and the previous key should stay in force.
 struct DailyHourOutcome {
   HourlyRecord record;        ///< the per-hour simulation record
-  linalg::Vector reactances;  ///< chosen post-MTD reactances x' (length L)
-  linalg::Matrix h_mtd;       ///< post-MTD measurement matrix H'
+  linalg::Vector reactances;  ///< the key: post-MTD reactances x' (length L)
   opf::DispatchResult dispatch;  ///< OPF dispatch at the chosen key
   linalg::Vector z_ref;       ///< noiseless measurements at the new key
 };
@@ -73,15 +72,14 @@ struct DailyHourOutcome {
 /// attacker's one-hour-stale knowledge source, and it consumes no
 /// randomness. Each `advance_hour` call then performs one "pass 2" step
 /// for the next hour: tune gamma_th over the grid against the *previous*
-/// hour's no-MTD matrix (cyclic at midnight) and solve problem (4),
+/// hour's no-MTD key (cyclic at midnight) and solve problem (4),
 /// exactly as `run_daily_simulation` does — 24 calls reproduce its
 /// records bit for bit. Past hour 23 the engine wraps onto the trace's
 /// next day while the warm-start state (incumbent perturbation, gamma
 /// grid position) keeps carrying forward.
 ///
-/// The attacker's key is the previous hour's no-MTD reactance vector;
-/// `advance_hour` builds the two dense H that the effectiveness
-/// evaluation and the reported `spa()` values need.
+/// Keys are reactance vectors: `advance_hour` scores on CSR H and takes
+/// the record's angles from `SpaEvaluator`s, never building a dense H.
 ///
 /// \see serve::MtdDaemon for the serving layer built on this engine
 /// (DESIGN.md "Serving architecture").
@@ -114,6 +112,12 @@ class DailyEngine {
 
   /// The simulation options the engine was built with.
   const DailySimulationOptions& options() const { return options_; }
+
+  /// The pass-1 no-MTD key of `trace_hour`: that hour's baseline and the
+  /// next hour's attacker key (empty when its baseline OPF failed).
+  const linalg::Vector& baseline_key(std::size_t trace_hour) const {
+    return base_.at(trace_hour).reactances;
+  }
 
  private:
   struct BaseHour {

@@ -1,6 +1,5 @@
 #include "mtd/effectiveness.hpp"
 
-#include <cassert>
 #include <cstdint>
 #include <stdexcept>
 
@@ -20,7 +19,7 @@ namespace {
 /// — and per-attack probabilities are reduced in attack order, so the
 /// result is bit-identical for every thread count.
 EffectivenessResult score_candidate(const std::vector<attack::FdiAttack>& attacks,
-                                    const linalg::Matrix& h_actual,
+                                    const linalg::SparseMatrix& h_actual,
                                     const linalg::Vector& z_ref,
                                     const EffectivenessOptions& options,
                                     std::uint64_t noise_root) {
@@ -54,22 +53,25 @@ EffectivenessResult score_candidate(const std::vector<attack::FdiAttack>& attack
   return result;
 }
 
-void validate_options(const EffectivenessOptions& options) {
+void validate(std::size_t measurements, const linalg::Vector& z_ref,
+              const EffectivenessOptions& options) {
+  if (z_ref.size() != measurements)
+    throw std::invalid_argument(
+        "effectiveness: z_ref length must equal the measurement count");
   if (options.num_attacks <= 0)
     throw std::invalid_argument("effectiveness: need at least one attack");
 }
 
 }  // namespace
 
-EffectivenessResult evaluate_effectiveness(const linalg::Matrix& h_attacker,
-                                           const linalg::Matrix& h_actual,
-                                           const linalg::Vector& z_ref,
-                                           const EffectivenessOptions& options,
-                                           stats::Rng& rng) {
+EffectivenessResult evaluate_effectiveness(
+    const linalg::SparseMatrix& h_attacker,
+    const linalg::SparseMatrix& h_actual, const linalg::Vector& z_ref,
+    const EffectivenessOptions& options, stats::Rng& rng) {
   if (h_attacker.rows() != h_actual.rows())
     throw std::invalid_argument(
         "effectiveness: measurement dimensions must match");
-  validate_options(options);
+  validate(h_attacker.rows(), z_ref, options);
 
   // Exactly two raw draws, whatever the method or thread count: one root
   // for the attack-sample streams, one for the noise streams.
@@ -82,15 +84,15 @@ EffectivenessResult evaluate_effectiveness(const linalg::Matrix& h_attacker,
 }
 
 std::vector<EffectivenessResult> evaluate_candidates(
-    const linalg::Matrix& h_attacker,
-    const std::vector<linalg::Matrix>& h_candidates,
+    const linalg::SparseMatrix& h_attacker,
+    const std::vector<linalg::SparseMatrix>& h_candidates,
     const linalg::Vector& z_ref, const EffectivenessOptions& options,
     stats::Rng& rng) {
-  for (const linalg::Matrix& h : h_candidates)
+  for (const linalg::SparseMatrix& h : h_candidates)
     if (h.rows() != h_attacker.rows())
       throw std::invalid_argument(
           "effectiveness: measurement dimensions must match");
-  validate_options(options);
+  validate(h_attacker.rows(), z_ref, options);
 
   // Same two-draw contract as evaluate_effectiveness, and the same stream
   // roots for every candidate: candidate i's scores are bit-equal to an

@@ -2,7 +2,7 @@
 
 #include <vector>
 
-#include "linalg/matrix.hpp"
+#include "linalg/sparse_matrix.hpp"
 #include "linalg/vector.hpp"
 #include "stats/rng.hpp"
 
@@ -46,7 +46,9 @@ struct EffectivenessResult {
 /// the attacker's (outdated) matrix `h_attacker`, the defender operates the
 /// system with matrix `h_actual`, and `z_ref` is the noiseless measurement
 /// vector at the actual operating point (used both to scale the attack
-/// magnitudes and as the Monte-Carlo base signal).
+/// magnitudes and as the Monte-Carlo base signal). Both matrices are CSR.
+/// Throws std::invalid_argument("effectiveness: z_ref length must equal
+/// the measurement count") when `z_ref` is not M long.
 ///
 /// Parallel and deterministic: attacks (and Monte-Carlo noise trials) are
 /// spread across the global `core::ThreadPool`, each task on its own
@@ -54,11 +56,10 @@ struct EffectivenessResult {
 /// is bit-identical for every thread count. `rng` advances by exactly two
 /// raw draws (the attack-stream root and the noise-stream root) regardless
 /// of the option values.
-EffectivenessResult evaluate_effectiveness(const linalg::Matrix& h_attacker,
-                                           const linalg::Matrix& h_actual,
-                                           const linalg::Vector& z_ref,
-                                           const EffectivenessOptions& options,
-                                           stats::Rng& rng);
+EffectivenessResult evaluate_effectiveness(
+    const linalg::SparseMatrix& h_attacker,
+    const linalg::SparseMatrix& h_actual, const linalg::Vector& z_ref,
+    const EffectivenessOptions& options, stats::Rng& rng);
 
 /// Batched effectiveness evaluation: one attacker matrix against a whole
 /// set of candidate post-MTD matrices (keyspace audits, gamma sweeps,
@@ -73,10 +74,11 @@ EffectivenessResult evaluate_effectiveness(const linalg::Matrix& h_attacker,
 /// rng)` called with a fresh rng seeded like `rng`. Results are
 /// index-aligned with `h_candidates`. Candidates are scored across the
 /// global thread pool when the batch is large enough, per-attack otherwise;
-/// both schedules produce identical results.
+/// both schedules produce identical results. Throws like
+/// `evaluate_effectiveness` on mismatched dimensions.
 std::vector<EffectivenessResult> evaluate_candidates(
-    const linalg::Matrix& h_attacker,
-    const std::vector<linalg::Matrix>& h_candidates,
+    const linalg::SparseMatrix& h_attacker,
+    const std::vector<linalg::SparseMatrix>& h_candidates,
     const linalg::Vector& z_ref, const EffectivenessOptions& options,
     stats::Rng& rng);
 

@@ -5,7 +5,6 @@
 #include <stdexcept>
 
 #include "core/parallel.hpp"
-#include "grid/measurement.hpp"
 #include "mtd/spa.hpp"
 #include "opf/reactance_opf.hpp"
 
@@ -133,8 +132,7 @@ MtdSelectionResult select_mtd_perturbation(const grid::PowerSystem& sys,
   MtdSelectionResult result;
   result.reactances = opf::expand_dfacts_reactances(sys, best.x);
   result.dispatch = opf::solve_dc_opf(sys, result.reactances);
-  result.h_mtd = grid::measurement_matrix(sys, result.reactances);
-  result.spa = spa(grid::measurement_matrix(sys, x_attacker), result.h_mtd);
+  result.spa = spa_eval.gamma(result.reactances);
   result.base_opf_cost = base_opf_cost;
   if (result.dispatch.feasible) {
     result.opf_cost = result.dispatch.cost;

@@ -1,7 +1,7 @@
 #pragma once
 
 #include "grid/power_system.hpp"
-#include "linalg/matrix.hpp"
+#include "linalg/vector.hpp"
 #include "mtd/spa.hpp"
 #include "opf/dc_opf.hpp"
 #include "opf/direct_search.hpp"
@@ -36,8 +36,7 @@ struct MtdSelectionResult {
   bool feasible = false;       ///< SPA constraint met and OPF feasible
   linalg::Vector reactances;   ///< chosen post-perturbation reactances x'
   opf::DispatchResult dispatch;  ///< OPF at the chosen reactances
-  linalg::Matrix h_mtd;        ///< post-perturbation measurement matrix H'
-  double spa = 0.0;            ///< achieved gamma(H_attacker, H')
+  double spa = 0.0;            ///< achieved gamma(H_attacker, H(x'))
   double opf_cost = 0.0;       ///< C'_OPF (cost with MTD)
   double base_opf_cost = 0.0;  ///< C_OPF (cost without MTD)
   double cost_increase = 0.0;  ///< C_MTD = (C' - C)/C, paper eq. (3)
@@ -58,7 +57,8 @@ struct MtdSelectionResult {
 /// paper's fmincon + MultiStart approach. Each call builds one
 /// `SpaEvaluator` (the k x k gamma tables) and one
 /// `opf::DispatchEvaluator` (the merit-order dispatch certificate); both
-/// are const and thread-safe, and every pool worker shares them.
+/// are const and thread-safe, and every pool worker shares them. The
+/// reported `spa` comes from the same evaluator.
 MtdSelectionResult select_mtd_perturbation(const grid::PowerSystem& sys,
                                            const linalg::Vector& x_attacker,
                                            double base_opf_cost,

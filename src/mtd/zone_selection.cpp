@@ -190,8 +190,8 @@ ZoneSelectionResult select_mtd_zones(const grid::PowerSystem& sys,
     // independent of how many fallback rounds actually ran.
     stats::Rng rng = stats::make_stream(seed, num_zones * options.max_rounds);
     result.detection = evaluate_effectiveness(
-        grid::measurement_matrix(sys),
-        grid::measurement_matrix(sys, result.reactances), z_ref,
+        grid::sparse_measurement_matrix(sys),
+        grid::sparse_measurement_matrix(sys, result.reactances), z_ref,
         options.detection, rng);
     result.has_detection = true;
   }

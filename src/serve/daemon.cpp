@@ -11,7 +11,6 @@
 #include "estimation/detection.hpp"
 #include "grid/measurement.hpp"
 #include "io/case_registry.hpp"
-#include "mtd/effectiveness.hpp"
 #include "obs/prometheus.hpp"
 #include "obs/scope.hpp"
 #include "obs/trace.hpp"
@@ -137,9 +136,9 @@ std::size_t MtdDaemon::tick_locked() {
     snap->reactances = std::move(outcome.reactances);
     snap->dispatch = std::move(outcome.dispatch);
     snap->z_ref = std::move(outcome.z_ref);
-    snap->h_mtd = std::move(outcome.h_mtd);
     snap->estimator = std::make_shared<const estimation::StateEstimator>(
-        snap->h_mtd, options_.daily.effectiveness.sigma_mw);
+        grid::sparse_measurement_matrix(engine_.system(), snap->reactances),
+        options_.daily.effectiveness.sigma_mw);
     snap->bdd = std::make_shared<const estimation::BadDataDetector>(
         *snap->estimator, options_.daily.effectiveness.fp_rate);
   }
@@ -600,13 +599,11 @@ std::string MtdDaemon::reply_campaign(const Request& req) {
     policies.assign(kAll, kAll + 4);
   }
 
-  // The zero-knowledge matrix: nominal reactances (the engine never
-  // mutates them; ticks only move the loads, which H is independent of).
-  const linalg::Matrix h_nominal =
-      grid::measurement_matrix(engine_.system());
-  const double sigma = options_.daily.effectiveness.sigma_mw;
-  mtd::EffectivenessOptions eff = options_.daily.effectiveness;
-  eff.deltas = {options_.daily.target_delta};
+  // The engine never mutates the nominal reactances (ticks only move the
+  // loads), so its system gives the zero-knowledge key.
+  const attack::HourScoring scoring{options_.daily.effectiveness,
+                                    options_.daily.target_delta, probe_root_,
+                                    {}};
 
   Json reply;
   reply.set("ok", Json(true));
@@ -639,39 +636,21 @@ std::string MtdDaemon::reply_campaign(const Request& req) {
     // all-policies reply for the same id and window.
     const std::uint64_t policy_root = stats::stream_seed(
         request_root, static_cast<std::uint64_t>(policy));
+    const attack::AttackerSpec spec{policy, req.probes, 0};
     for (const std::size_t i : pairs) {
       const HourKeySnapshot& prev = *(*win)[i - 1];
       const HourKeySnapshot& cur = *(*win)[i];
-      attack::KeyEstimate estimate;  // keeps the probe H alive
-      const linalg::Matrix* h_attacker = &h_nominal;
-      switch (policy) {
-        case attack::AttackerPolicy::kZeroKnowledge:
-          break;
-        case attack::AttackerPolicy::kStaleKey:
-          h_attacker = &prev.h_mtd;
-          ++boundary_replays;
-          obs::add(obs::Work::kStaleReplays);
-          break;
-        case attack::AttackerPolicy::kProbe:
-          estimate = attack::probe_and_estimate_key(
-              engine_.system(), cur.z_ref, sigma, probe_root_, cur.hour,
-              req.probes);
-          h_attacker = &estimate.h;
-          probes_used += static_cast<std::uint64_t>(req.probes);
-          break;
-        case attack::AttackerPolicy::kOmniscient:
-          h_attacker = &cur.h_mtd;
-          break;
-        case attack::AttackerPolicy::kRamp:
-          break;  // unreachable: not a wire policy (parse rejects it)
-      }
+      const attack::HourKeys keys{cur.hour, cur.reactances, cur.z_ref,
+                                  prev.reactances};
       stats::Rng rng = stats::make_stream(policy_root, cur.hour);
-      const mtd::EffectivenessResult er = mtd::evaluate_effectiveness(
-          *h_attacker, cur.h_mtd, cur.z_ref, eff, rng);
-      detection_sum += er.mean_detection;
-      eta_sum += er.eta[0];
-      hourly_detection.push_back(Json(er.mean_detection));
-      hourly_eta.push_back(Json(er.eta[0]));
+      const attack::HourScore score =
+          attack::score_hour(engine_.system(), spec, keys, scoring, rng);
+      detection_sum += score.mean_detection;
+      eta_sum += score.eta;
+      probes_used += score.probes;
+      if (score.replayed) ++boundary_replays;
+      hourly_detection.push_back(Json(score.mean_detection));
+      hourly_eta.push_back(Json(score.eta));
     }
     const double n = static_cast<double>(pairs.size());
     cell.set("mean_detection", Json(detection_sum / n));

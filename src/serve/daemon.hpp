@@ -65,12 +65,11 @@ struct HourKeySnapshot {
   mtd::HourlyRecord record;    ///< the hour's simulation record
   bool keyed = false;          ///< false: selection failed, no key active
   linalg::Vector setpoints;    ///< D-FACTS reactances (dfacts order)
-  linalg::Vector reactances;   ///< full post-MTD reactance vector
+  linalg::Vector reactances;   ///< the key: full post-MTD reactances
   opf::DispatchResult dispatch;  ///< OPF dispatch at the key
   linalg::Vector z_ref;        ///< noiseless reference measurements (MW)
-  linalg::Matrix h_mtd;        ///< post-MTD measurement matrix H' (dense;
-                               ///< the campaign verb's attacker keys)
-  /// WLS estimator at the hour's key (null when `keyed` is false).
+  /// WLS estimator at the hour's key, holding its CSR H' (null when
+  /// `keyed` is false).
   std::shared_ptr<const estimation::StateEstimator> estimator;
   /// Chi-square bad-data detector paired with `estimator`.
   std::shared_ptr<const estimation::BadDataDetector> bdd;

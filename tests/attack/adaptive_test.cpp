@@ -90,7 +90,8 @@ TEST(AdaptiveAttackTest, NoiselessProbeRecoversTheKeyExactly) {
   EXPECT_GT(est.identified_branches, 0u);
   for (const std::size_t l : sys.dfacts_branches())
     EXPECT_NEAR(est.reactances[l], key.x[l], 1e-6 * key.x[l]) << l;
-  EXPECT_LT(mtd::spa(est.h, key.h), 1e-6);
+  EXPECT_LT(mtd::spa(grid::measurement_matrix(sys, est.reactances), key.h),
+            1e-6);
 }
 
 TEST(AdaptiveAttackTest, EstimateConvergesToKeyedSubspaceWithBudget) {
@@ -107,7 +108,8 @@ TEST(AdaptiveAttackTest, EstimateConvergesToKeyedSubspaceWithBudget) {
     for (const int budget : {1, 16, 256}) {
       const KeyEstimate est =
           probe_and_estimate_key(sys, key.z_ref, sigma, 7, 0, budget);
-      const double gamma = mtd::spa(est.h, key.h);
+      const double gamma =
+          mtd::spa(grid::measurement_matrix(sys, est.reactances), key.h);
       EXPECT_LT(gamma, prev_gamma + 1e-12)
           << sys.name() << " budget " << budget;
       prev_gamma = gamma;
@@ -126,8 +128,9 @@ TEST(AdaptiveAttackTest, EstimateGoesStaleAcrossRekeyingBoundary) {
   const KeyedPoint key_b = keyed_point(sys, 0.75);
   const KeyEstimate est =
       probe_and_estimate_key(sys, key_a.z_ref, 0.05, 99, 0, 8);
-  const double gamma_to_a = mtd::spa(est.h, key_a.h);
-  const double gamma_to_b = mtd::spa(est.h, key_b.h);
+  const linalg::Matrix h_est = grid::measurement_matrix(sys, est.reactances);
+  const double gamma_to_a = mtd::spa(h_est, key_a.h);
+  const double gamma_to_b = mtd::spa(h_est, key_b.h);
   EXPECT_LT(gamma_to_a, 5e-3);
   EXPECT_GT(gamma_to_b, 10.0 * std::max(gamma_to_a, 1e-9));
 }

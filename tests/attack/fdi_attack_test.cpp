@@ -10,22 +10,24 @@
 namespace mtdgrid::attack {
 namespace {
 
-linalg::Matrix ieee14_h() {
-  return grid::measurement_matrix(grid::make_case_ieee14());
+linalg::SparseMatrix ieee14_h() {
+  return grid::sparse_measurement_matrix(grid::make_case_ieee14());
 }
 
 TEST(FdiAttackTest, ConstructsAEqualsHc) {
-  const linalg::Matrix h = ieee14_h();
+  // The CSR product is bit-equal to the dense one: the dense row sums only
+  // add exact zeros besides.
+  const linalg::SparseMatrix h = ieee14_h();
   stats::Rng rng(1);
   const linalg::Vector c = test::random_vector(h.cols(), rng);
   const FdiAttack atk = make_stealthy_attack(h, c);
-  EXPECT_NEAR(linalg::max_abs_diff(atk.a, h * c), 0.0, 0.0);
+  EXPECT_NEAR(linalg::max_abs_diff(atk.a, h.to_dense() * c), 0.0, 0.0);
   EXPECT_NEAR(linalg::max_abs_diff(atk.c, c), 0.0, 0.0);
 }
 
 TEST(FdiAttackTest, RandomAttackMagnitudeScaling) {
   // ||a||_1 / ||z||_1 must equal the requested relative magnitude.
-  const linalg::Matrix h = ieee14_h();
+  const linalg::SparseMatrix h = ieee14_h();
   stats::Rng rng(2);
   linalg::Vector z_ref(h.rows());
   for (std::size_t i = 0; i < z_ref.size(); ++i)
@@ -36,7 +38,7 @@ TEST(FdiAttackTest, RandomAttackMagnitudeScaling) {
 
 TEST(FdiAttackTest, RandomAttackConsistency) {
   // a must still equal H c after the scaling.
-  const linalg::Matrix h = ieee14_h();
+  const linalg::SparseMatrix h = ieee14_h();
   stats::Rng rng(3);
   const linalg::Vector z_ref(h.rows(), 25.0);
   const FdiAttack atk = random_stealthy_attack(h, z_ref, 0.05, rng);
@@ -44,7 +46,7 @@ TEST(FdiAttackTest, RandomAttackConsistency) {
 }
 
 TEST(FdiAttackTest, SampleAttacksCountAndDistinct) {
-  const linalg::Matrix h = ieee14_h();
+  const linalg::SparseMatrix h = ieee14_h();
   stats::Rng rng(4);
   const linalg::Vector z_ref(h.rows(), 25.0);
   const auto attacks = sample_attacks(h, z_ref, 0.08, 50, rng);
@@ -54,7 +56,7 @@ TEST(FdiAttackTest, SampleAttacksCountAndDistinct) {
 }
 
 TEST(FdiAttackTest, SamplingIsReproducible) {
-  const linalg::Matrix h = ieee14_h();
+  const linalg::SparseMatrix h = ieee14_h();
   const linalg::Vector z_ref(h.rows(), 25.0);
   stats::Rng rng_a(7), rng_b(7);
   const auto a = sample_attacks(h, z_ref, 0.08, 5, rng_a);
@@ -65,25 +67,25 @@ TEST(FdiAttackTest, SamplingIsReproducible) {
 
 TEST(FdiAttackTest, StealthyUnderOwnMatrix) {
   // Proposition 1 with H' = H: every a = Hc stays in the column space.
-  const linalg::Matrix h = ieee14_h();
+  const linalg::SparseMatrix h = ieee14_h();
   stats::Rng rng(5);
   const FdiAttack atk =
       make_stealthy_attack(h, test::random_vector(h.cols(), rng));
-  EXPECT_TRUE(remains_stealthy_under(h, atk));
+  EXPECT_TRUE(remains_stealthy_under(h.to_dense(), atk));
 }
 
 TEST(FdiAttackTest, StealthyUnderScaledMatrix) {
   // H' = (1+eta) H spans the same space: the paper's gamma == 0 case.
-  const linalg::Matrix h = ieee14_h();
+  const linalg::SparseMatrix h = ieee14_h();
   stats::Rng rng(6);
   const FdiAttack atk =
       make_stealthy_attack(h, test::random_vector(h.cols(), rng));
-  EXPECT_TRUE(remains_stealthy_under(h * 1.3, atk));
+  EXPECT_TRUE(remains_stealthy_under(h.to_dense() * 1.3, atk));
 }
 
 TEST(FdiAttackTest, DetectableUnderGenuinePerturbation) {
   const grid::PowerSystem sys = grid::make_case_ieee14();
-  const linalg::Matrix h = grid::measurement_matrix(sys);
+  const linalg::SparseMatrix h = grid::sparse_measurement_matrix(sys);
   linalg::Vector x = sys.reactances();
   for (std::size_t l : sys.dfacts_branches()) x[l] *= 1.4;
   const linalg::Matrix h_new = grid::measurement_matrix(sys, x);
@@ -99,7 +101,7 @@ TEST(FdiAttackTest, SharedSubspaceAttackSurvivesPerturbation) {
   // endpoints produces identical measurements under both matrices — the
   // fundamental reason eta'(delta) cannot reach 1 (see mtd::spa notes).
   const grid::PowerSystem sys = grid::make_case_ieee14();
-  const linalg::Matrix h = grid::measurement_matrix(sys);
+  const linalg::SparseMatrix h = grid::sparse_measurement_matrix(sys);
   linalg::Vector x = sys.reactances();
   for (std::size_t l : sys.dfacts_branches()) x[l] *= 0.6;
   const linalg::Matrix h_new = grid::measurement_matrix(sys, x);
@@ -129,7 +131,7 @@ TEST(FdiAttackTest, ZeroDeviationAttackIsDegenerateAndAlwaysStealthy) {
   // Edge case: c = 0 gives a = H*0 = 0 — the "attack" changes nothing,
   // so it trivially survives every re-keying. The residual machinery
   // must not divide by ||a|| or flag it.
-  const linalg::Matrix h = ieee14_h();
+  const linalg::SparseMatrix h = ieee14_h();
   const FdiAttack atk = make_stealthy_attack(h, linalg::Vector(h.cols()));
   EXPECT_EQ(atk.a.norm1(), 0.0);
 
@@ -137,11 +139,11 @@ TEST(FdiAttackTest, ZeroDeviationAttackIsDegenerateAndAlwaysStealthy) {
   linalg::Vector x = sys.reactances();
   for (std::size_t l : sys.dfacts_branches()) x[l] *= 1.4;
   EXPECT_TRUE(remains_stealthy_under(grid::measurement_matrix(sys, x), atk));
-  EXPECT_TRUE(remains_stealthy_under(h, atk));
+  EXPECT_TRUE(remains_stealthy_under(h.to_dense(), atk));
 }
 
 TEST(FdiAttackTest, RejectsBadArguments) {
-  const linalg::Matrix h = ieee14_h();
+  const linalg::SparseMatrix h = ieee14_h();
   stats::Rng rng(8);
   EXPECT_THROW(random_stealthy_attack(h, linalg::Vector(h.rows(), 10.0),
                                       -0.1, rng),

@@ -31,22 +31,23 @@ mtd::DailySimulationOptions fast_daily() {
 }
 
 struct KeyedHour {
-  linalg::Matrix h;
+  linalg::SparseMatrix h;  ///< H of the hour's key
   linalg::Vector z_ref;
 };
 
 /// Advances a fast case14 engine for `hours` hours and returns the keyed
 /// outcomes in order (infeasible hours skipped).
 std::vector<KeyedHour> keyed_hours(std::size_t hours, std::uint64_t seed) {
-  mtd::DailyEngine engine(grid::make_case14(),
-                          grid::DailyLoadTrace::nyiso_winter_weekday(),
+  const grid::PowerSystem sys = grid::make_case14();
+  mtd::DailyEngine engine(sys, grid::DailyLoadTrace::nyiso_winter_weekday(),
                           fast_daily());
   stats::Rng rng(seed);
   std::vector<KeyedHour> out;
   for (std::size_t h = 0; h < hours; ++h) {
     mtd::DailyHourOutcome o = engine.advance_hour(rng);
     if (!o.record.feasible) continue;
-    out.push_back({std::move(o.h_mtd), std::move(o.z_ref)});
+    out.push_back({grid::sparse_measurement_matrix(sys, o.reactances),
+                   std::move(o.z_ref)});
   }
   return out;
 }
@@ -64,7 +65,8 @@ TEST(StaleReplayTest, ReplayAcrossRekeyBoundaryIsDetectedWhenKeyMoves) {
   // the defender's detector on boundaries where the key actually moved.
   std::size_t moved = 0;
   for (std::size_t i = 1; i < hours.size(); ++i) {
-    const double gamma = mtd::spa(hours[i - 1].h, hours[i].h);
+    const double gamma =
+        mtd::spa(hours[i - 1].h.to_dense(), hours[i].h.to_dense());
     stats::Rng rng(33);
     const mtd::EffectivenessResult er = mtd::evaluate_effectiveness(
         hours[i - 1].h, hours[i].h, hours[i].z_ref, eff, rng);
@@ -106,7 +108,7 @@ TEST(StaleReplayTest, ZeroKnowledgeAttackerIsDetectedWithHighProbability) {
   // number is a case118 campaign figure; these fast case14 knobs pick
   // small-gamma keys, observed detections 0.79-0.94.)
   const grid::PowerSystem sys = grid::make_case14();
-  const linalg::Matrix h_nominal = grid::measurement_matrix(sys);
+  const linalg::SparseMatrix h_nominal = grid::sparse_measurement_matrix(sys);
   const std::vector<KeyedHour> hours = keyed_hours(3, 11);
   ASSERT_FALSE(hours.empty());
   mtd::EffectivenessOptions eff;

@@ -27,7 +27,6 @@ PipelineResult run_pipeline(const grid::PowerSystem& sys, double gamma_th,
   stats::Rng rng(seed);
   const opf::DispatchResult base = opf::solve_dc_opf(sys);
   EXPECT_TRUE(base.feasible);
-  const linalg::Matrix h_attacker = grid::measurement_matrix(sys);
 
   mtd::MtdSelectionOptions sel;
   sel.gamma_threshold = gamma_th;
@@ -45,7 +44,9 @@ PipelineResult run_pipeline(const grid::PowerSystem& sys, double gamma_th,
   eff.num_attacks = 200;
   eff.sigma_mw = 0.05;
   out.effectiveness = mtd::evaluate_effectiveness(
-      h_attacker, out.selection.h_mtd, z_ref, eff, rng);
+      grid::sparse_measurement_matrix(sys),
+      grid::sparse_measurement_matrix(sys, out.selection.reactances), z_ref,
+      eff, rng);
   return out;
 }
 
@@ -75,7 +76,6 @@ TEST(EndToEndTest, Case57PipelineIsEffective) {
   stats::Rng rng(9);
   const opf::DispatchResult base = opf::solve_dc_opf(sys);
   ASSERT_TRUE(base.feasible);
-  const linalg::Matrix h_attacker = grid::measurement_matrix(sys);
 
   mtd::MtdSelectionOptions sel;
   sel.gamma_threshold = 0.12;
@@ -92,7 +92,9 @@ TEST(EndToEndTest, Case57PipelineIsEffective) {
   eff.num_attacks = 100;
   eff.sigma_mw = 0.05;
   const mtd::EffectivenessResult effectiveness = mtd::evaluate_effectiveness(
-      h_attacker, selection.h_mtd, z_ref, eff, rng);
+      grid::sparse_measurement_matrix(sys),
+      grid::sparse_measurement_matrix(sys, selection.reactances), z_ref, eff,
+      rng);
   EXPECT_GT(effectiveness.eta[0], 0.5);
 }
 
@@ -103,7 +105,7 @@ TEST(EndToEndTest, DesignedMtdBeatsRandomBaseline) {
   const grid::PowerSystem sys = grid::make_case_ieee14();
   stats::Rng rng(4);
   const opf::DispatchResult base = opf::solve_dc_opf(sys);
-  const linalg::Matrix h0 = grid::measurement_matrix(sys);
+  const linalg::SparseMatrix h0 = grid::sparse_measurement_matrix(sys);
 
   mtd::EffectivenessOptions eff;
   eff.num_attacks = 200;
@@ -117,7 +119,7 @@ TEST(EndToEndTest, DesignedMtdBeatsRandomBaseline) {
     const linalg::Vector x =
         mtd::random_reactance_perturbation(sys, sys.reactances(), 0.02, rng);
     const auto r = mtd::evaluate_effectiveness(
-        h0, grid::measurement_matrix(sys, x), z0, eff, rng);
+        h0, grid::sparse_measurement_matrix(sys, x), z0, eff, rng);
     random_total += r.eta[0];
   }
   const double random_mean = random_total / 10.0;
@@ -146,8 +148,10 @@ TEST(EndToEndTest, AttackerLearningNewMatrixRestoresStealth) {
   mtd::EffectivenessOptions eff;
   eff.num_attacks = 100;
   eff.sigma_mw = 0.05;
-  const auto relearned = mtd::evaluate_effectiveness(
-      r.selection.h_mtd, r.selection.h_mtd, z_ref, eff, rng);
+  const linalg::SparseMatrix h_mtd =
+      grid::sparse_measurement_matrix(sys, r.selection.reactances);
+  const auto relearned =
+      mtd::evaluate_effectiveness(h_mtd, h_mtd, z_ref, eff, rng);
   for (double eta : relearned.eta) EXPECT_DOUBLE_EQ(eta, 0.0);
 }
 

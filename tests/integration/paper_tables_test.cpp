@@ -26,10 +26,12 @@ class PaperTablesTest : public ::testing::Test {
   // paper's c = [0, 1, 1, 1] becomes [1, 1, 1] and c = [0, 0, 0, 1]
   // becomes [0, 0, 1]).
   attack::FdiAttack attack1() const {
-    return attack::make_stealthy_attack(h0_, linalg::Vector{1.0, 1.0, 1.0});
+    return attack::make_stealthy_attack(grid::sparse_measurement_matrix(*sys_),
+                                        linalg::Vector{1.0, 1.0, 1.0});
   }
   attack::FdiAttack attack2() const {
-    return attack::make_stealthy_attack(h0_, linalg::Vector{0.0, 0.0, 1.0});
+    return attack::make_stealthy_attack(grid::sparse_measurement_matrix(*sys_),
+                                        linalg::Vector{0.0, 0.0, 1.0});
   }
 
   linalg::Vector perturbed_reactances(std::size_t line, double eta) const {

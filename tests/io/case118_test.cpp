@@ -110,7 +110,6 @@ TEST(Case118Test, SelectionDispatchEffectivenessPipeline) {
   stats::Rng rng(118);
   const opf::DispatchResult base = opf::solve_dc_opf(sys);
   ASSERT_TRUE(base.feasible);
-  const linalg::Matrix h_attacker = grid::measurement_matrix(sys);
 
   mtd::MtdSelectionOptions sel;
   sel.gamma_threshold = 0.1;
@@ -129,7 +128,9 @@ TEST(Case118Test, SelectionDispatchEffectivenessPipeline) {
   eff.num_attacks = 60;
   eff.sigma_mw = 0.05;
   const mtd::EffectivenessResult effectiveness = mtd::evaluate_effectiveness(
-      h_attacker, selection.h_mtd, z_ref, eff, rng);
+      grid::sparse_measurement_matrix(sys),
+      grid::sparse_measurement_matrix(sys, selection.reactances), z_ref, eff,
+      rng);
   EXPECT_GT(effectiveness.eta[0], 0.5);  // eta'(0.5)
 }
 

@@ -2,7 +2,12 @@
 
 #include <gtest/gtest.h>
 
+#include <string>
+#include <vector>
+
 #include "grid/cases.hpp"
+#include "grid/measurement.hpp"
+#include "mtd/spa.hpp"
 
 namespace mtdgrid::mtd {
 namespace {
@@ -134,9 +139,7 @@ TEST(DailyEngineTest, AdvanceHourReproducesRunDailySimulationBitExact) {
       const std::size_t L = sys.num_branches();
       ASSERT_EQ(out.reactances.size(), L);
       EXPECT_TRUE(sys.reactances_within_limits(out.reactances));
-      ASSERT_EQ(out.h_mtd.rows(), 2 * L + sys.num_buses());
-      ASSERT_EQ(out.h_mtd.cols(), sys.num_buses() - 1);
-      ASSERT_EQ(out.z_ref.size(), out.h_mtd.rows());
+      ASSERT_EQ(out.z_ref.size(), 2 * L + sys.num_buses());
       EXPECT_TRUE(out.dispatch.feasible);
     }
   }
@@ -149,6 +152,46 @@ TEST(DailyEngineTest, AdvanceHourReproducesRunDailySimulationBitExact) {
   EXPECT_EQ(wrapped.record.hour, 24u);
   EXPECT_EQ(wrapped.record.total_load_mw, trace.total_mw(0));
   EXPECT_TRUE(wrapped.record.feasible);
+}
+
+TEST(DailyEngineTest, RecordAnglesMatchDenseSpa) {
+  // The record's three angles come from SpaEvaluators referenced at the
+  // attacker's key and the hour's no-MTD key; the dense spa() of the
+  // three keys' matrices is the oracle.
+  for (const char* name : {"case14", "case57"}) {
+    SCOPED_TRACE(name);
+    const grid::PowerSystem sys = std::string(name) == "case14"
+                                      ? grid::make_case14()
+                                      : grid::make_case57();
+    // The NYISO shape scaled from its 14-bus fit to the case's load.
+    const grid::DailyLoadTrace shape =
+        grid::DailyLoadTrace::nyiso_winter_weekday();
+    std::vector<double> totals(shape.size());
+    for (std::size_t h = 0; h < shape.size(); ++h)
+      totals[h] = shape.total_mw(h) * sys.total_load_mw() / 259.0;
+    DailyEngine engine(sys, grid::DailyLoadTrace(std::move(totals)),
+                       engine_options());
+    stats::Rng rng(31);
+    int checked = 0;
+    for (int step = 0; step < 3; ++step) {
+      const std::size_t t = engine.next_hour() % engine.hours_per_day();
+      const DailyHourOutcome out = engine.advance_hour(rng);
+      if (!out.record.feasible) continue;
+      const std::size_t prev = (t + engine.hours_per_day() - 1) %
+                               engine.hours_per_day();
+      const linalg::Matrix h_attacker =
+          grid::measurement_matrix(sys, engine.baseline_key(prev));
+      const linalg::Matrix h_now =
+          grid::measurement_matrix(sys, engine.baseline_key(t));
+      const linalg::Matrix h_mtd =
+          grid::measurement_matrix(sys, out.reactances);
+      EXPECT_NEAR(out.record.gamma_ht_htp, spa(h_attacker, h_now), 1e-9);
+      EXPECT_NEAR(out.record.gamma_ht_hmtd, spa(h_attacker, h_mtd), 1e-9);
+      EXPECT_NEAR(out.record.gamma_htp_hmtd, spa(h_now, h_mtd), 1e-9);
+      ++checked;
+    }
+    EXPECT_GT(checked, 0);
+  }
 }
 
 }  // namespace

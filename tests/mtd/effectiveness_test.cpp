@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include <string>
+
 #include "grid/cases.hpp"
 #include "grid/measurement.hpp"
 #include "grid/power_flow.hpp"
@@ -13,18 +15,18 @@ namespace mtdgrid::mtd {
 namespace {
 
 struct Scenario {
-  linalg::Matrix h_old;
-  linalg::Matrix h_new;
+  linalg::SparseMatrix h_old;
+  linalg::SparseMatrix h_new;
   linalg::Vector z_ref;
 };
 
 Scenario make_scenario(double factor) {
   const grid::PowerSystem sys = grid::make_case_ieee14();
   Scenario s;
-  s.h_old = grid::measurement_matrix(sys);
+  s.h_old = grid::sparse_measurement_matrix(sys);
   linalg::Vector x = sys.reactances();
   for (std::size_t l : sys.dfacts_branches()) x[l] *= factor;
-  s.h_new = grid::measurement_matrix(sys, x);
+  s.h_new = grid::sparse_measurement_matrix(sys, x);
   const opf::DispatchResult d = opf::solve_dc_opf(sys, x);
   s.z_ref = grid::noiseless_measurements(sys, x, d.theta_reduced);
   return s;
@@ -106,7 +108,7 @@ TEST(EffectivenessTest, HigherGammaMoreEffective) {
   double prev_eta = -1.0, prev_gamma = -1.0;
   for (double factor : {1.05, 1.2, 1.5}) {
     const Scenario s = make_scenario(factor);
-    const double gamma = spa(s.h_old, s.h_new);
+    const double gamma = spa(s.h_old.to_dense(), s.h_new.to_dense());
     const auto r =
         evaluate_effectiveness(s.h_old, s.h_new, s.z_ref, opt, rng);
     EXPECT_GT(gamma, prev_gamma);
@@ -135,6 +137,34 @@ TEST(EffectivenessTest, ValidatesArguments) {
       std::invalid_argument);
 }
 
+TEST(EffectivenessTest, RejectsZRefOfAnotherLength) {
+  // A short z_ref is a pinned error in every build type, before any
+  // attack is scaled by it or noise is added to it.
+  const Scenario s = make_scenario(1.2);
+  EffectivenessOptions opt;
+  opt.num_attacks = 10;
+  opt.method = DetectionMethod::kAnalytic;
+  const std::string message =
+      "effectiveness: z_ref length must equal the measurement count";
+  for (const std::size_t length : {s.z_ref.size() - 1, s.z_ref.size() + 1}) {
+    linalg::Vector z(length, 10.0);
+    stats::Rng rng(7);
+    try {
+      evaluate_effectiveness(s.h_old, s.h_new, z, opt, rng);
+      ADD_FAILURE() << "z_ref of length " << length << " was accepted";
+    } catch (const std::invalid_argument& e) {
+      EXPECT_EQ(std::string(e.what()), message);
+    }
+    try {
+      evaluate_candidates(s.h_old, {s.h_new}, z, opt, rng);
+      ADD_FAILURE() << "batched z_ref of length " << length
+                    << " was accepted";
+    } catch (const std::invalid_argument& e) {
+      EXPECT_EQ(std::string(e.what()), message);
+    }
+  }
+}
+
 TEST(EffectivenessTest, ReproducibleWithSameSeed) {
   const Scenario s = make_scenario(1.25);
   EffectivenessOptions opt;
@@ -156,15 +186,15 @@ TEST(EvaluateCandidatesTest, MatchesPerCandidateEvaluationWithSharedSeed) {
   const grid::PowerSystem sys = grid::make_case14();
   const opf::DispatchResult base = opf::solve_dc_opf(sys);
   ASSERT_TRUE(base.feasible);
-  const linalg::Matrix h0 = grid::measurement_matrix(sys);
+  const linalg::SparseMatrix h0 = grid::sparse_measurement_matrix(sys);
   const linalg::Vector z0 = grid::noiseless_measurements(
       sys, sys.reactances(), base.theta_reduced);
 
-  std::vector<linalg::Matrix> candidates;
+  std::vector<linalg::SparseMatrix> candidates;
   for (double factor : {1.1, 1.3, 0.8}) {
     linalg::Vector x = sys.reactances();
     for (std::size_t l : sys.dfacts_branches()) x[l] *= factor;
-    candidates.push_back(grid::measurement_matrix(sys, x));
+    candidates.push_back(grid::sparse_measurement_matrix(sys, x));
   }
 
   EffectivenessOptions options;
@@ -193,15 +223,15 @@ TEST(EvaluateCandidatesTest, MatchesPerCandidateEvaluationWithSharedSeed) {
 
 TEST(EvaluateCandidatesTest, EmptyBatchAndValidation) {
   const grid::PowerSystem sys = grid::make_case14();
-  const linalg::Matrix h0 = grid::measurement_matrix(sys);
+  const linalg::SparseMatrix h0 = grid::sparse_measurement_matrix(sys);
   const linalg::Vector z0(h0.rows(), 10.0);
   EffectivenessOptions options;
   options.num_attacks = 10;
   stats::Rng rng(1);
   EXPECT_TRUE(evaluate_candidates(h0, {}, z0, options, rng).empty());
-  EXPECT_THROW(
-      evaluate_candidates(h0, {linalg::Matrix(3, 2)}, z0, options, rng),
-      std::invalid_argument);
+  EXPECT_THROW(evaluate_candidates(h0, {linalg::SparseMatrix(3, 2)}, z0,
+                                   options, rng),
+               std::invalid_argument);
 }
 
 }  // namespace

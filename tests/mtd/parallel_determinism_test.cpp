@@ -45,17 +45,17 @@ auto with_thread_counts(Fn&& fn)
 
 struct Scenario {
   grid::PowerSystem sys;
-  linalg::Matrix h0;
-  linalg::Matrix h_mtd;
+  linalg::SparseMatrix h0;
+  linalg::SparseMatrix h_mtd;
   linalg::Vector z_ref;
 };
 
 Scenario make_scenario() {
   Scenario s{grid::make_case14(), {}, {}, {}};
-  s.h0 = grid::measurement_matrix(s.sys);
+  s.h0 = grid::sparse_measurement_matrix(s.sys);
   linalg::Vector x = s.sys.reactances();
   for (std::size_t l : s.sys.dfacts_branches()) x[l] *= 1.3;
-  s.h_mtd = grid::measurement_matrix(s.sys, x);
+  s.h_mtd = grid::sparse_measurement_matrix(s.sys, x);
   const opf::DispatchResult d = opf::solve_dc_opf(s.sys, x);
   s.z_ref = grid::noiseless_measurements(s.sys, x, d.theta_reduced);
   return s;
@@ -105,11 +105,11 @@ TEST(ParallelDeterminismTest, MonteCarloEffectivenessBitIdentical) {
 
 TEST(ParallelDeterminismTest, EvaluateCandidatesBitIdentical) {
   const Scenario s = make_scenario();
-  std::vector<linalg::Matrix> candidates;
+  std::vector<linalg::SparseMatrix> candidates;
   for (double factor : {0.85, 1.1, 1.25, 1.4}) {
     linalg::Vector x = s.sys.reactances();
     for (std::size_t l : s.sys.dfacts_branches()) x[l] *= factor;
-    candidates.push_back(grid::measurement_matrix(s.sys, x));
+    candidates.push_back(grid::sparse_measurement_matrix(s.sys, x));
   }
   mtd::EffectivenessOptions opt;
   opt.num_attacks = 80;

@@ -111,6 +111,7 @@ TEST(SpaTest, ResidualBoundEq7HoldsOnRandomizedPerturbations) {
   for (const grid::PowerSystem& sys :
        {grid::make_case4(), grid::make_case14()}) {
     const linalg::Matrix h = grid::measurement_matrix(sys);
+    const linalg::SparseMatrix h_csr = grid::sparse_measurement_matrix(sys);
     for (int trial = 0; trial < 8; ++trial) {
       linalg::Vector x = sys.reactances();
       for (std::size_t l : sys.dfacts_branches())
@@ -120,7 +121,7 @@ TEST(SpaTest, ResidualBoundEq7HoldsOnRandomizedPerturbations) {
       const estimation::StateEstimator est(h_new, /*sigma=*/1.0);
       for (int k = 0; k < 5; ++k) {
         const attack::FdiAttack atk = attack::make_stealthy_attack(
-            h, test::random_vector(h.cols(), rng));
+            h_csr, test::random_vector(h.cols(), rng));
         const double a_norm = atk.a.norm();
         ASSERT_GT(a_norm, 0.0);
         EXPECT_LE(est.attack_residual_norm(atk.a),
@@ -146,10 +147,11 @@ TEST(SpaTest, ResidualBoundEq7IsTightForWorstCaseAttack) {
   const double sin_gamma = std::sin(spa(h, h_new));
   ASSERT_GT(sin_gamma, 0.01);
   const estimation::StateEstimator est(h_new, 1.0);
+  const linalg::SparseMatrix h_csr = grid::sparse_measurement_matrix(sys);
   double best_ratio = 0.0;
   for (int k = 0; k < 200; ++k) {
     const attack::FdiAttack atk = attack::make_stealthy_attack(
-        h, test::random_vector(h.cols(), rng));
+        h_csr, test::random_vector(h.cols(), rng));
     best_ratio = std::max(
         best_ratio, est.attack_residual_norm(atk.a) / atk.a.norm());
   }

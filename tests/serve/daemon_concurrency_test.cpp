@@ -5,12 +5,16 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdint>
 #include <memory>
 #include <string>
 #include <thread>
 #include <vector>
 
+#include "attack/adaptive.hpp"
+#include "attack/campaign.hpp"
 #include "core/thread_pool.hpp"
+#include "grid/cases.hpp"
 #include "serve/daemon.hpp"
 #include "serve/json.hpp"
 #include "serve_test_util.hpp"
@@ -203,6 +207,66 @@ TEST(ServeDaemonDeterminismTest, EngineWorkCountersMatchAcrossThreadCounts) {
   const std::string t8 = engine_counters(8);
   core::ThreadPool::set_global_num_threads(0);
   EXPECT_EQ(t1, t8);
+}
+
+/// The `campaign` verb and `attack::run_campaign` share one scorer: for
+/// every wire policy, each hourly value of a campaign reply equals, bit
+/// for bit, `attack::score_hour` on the daemon's retained snapshots with
+/// the documented stream (stream_seed(campaign_root, id), policy, hour)
+/// and the probe oracle's root. Runs on the shared pool, so the TSan leg
+/// covers the scorer's parallel effectiveness evaluation too.
+TEST(ServeDaemonCampaignTest, CampaignRepliesComeFromScoreHour) {
+  const std::unique_ptr<MtdDaemon> daemon = test::make_fast_daemon();
+  daemon->tick();
+  daemon->tick();
+  const DaemonOptions& options = daemon->options();
+  const grid::PowerSystem sys = grid::make_case14();  // nominal reactances
+  const attack::HourScoring scoring{
+      options.daily.effectiveness, options.daily.target_delta,
+      stats::stream_seed(options.seed, attack::kProbeOracleTag), {}};
+  const std::uint64_t request_root = stats::stream_seed(
+      stats::stream_seed(options.seed, attack::kCampaignStreamTag), 6);
+
+  const Json reply = Json::parse(
+      daemon->handle_line(R"({"op":"campaign","id":6,"probes":4})"));
+  ASSERT_TRUE(reply.find("ok")->as_bool());
+  const Json::Array& hours = reply.find("hours")->as_array();
+  ASSERT_FALSE(hours.empty());
+  const Json::Array& policies = reply.find("policies")->as_array();
+  ASSERT_EQ(policies.size(), 4u);
+  for (const Json& cell : policies) {
+    attack::AttackerPolicy policy = attack::AttackerPolicy::kRamp;
+    ASSERT_TRUE(attack::parse_attacker_policy(
+        cell.find("policy")->as_string(), policy));
+    SCOPED_TRACE(attack::attacker_policy_name(policy));
+    const attack::AttackerSpec spec{policy, 4, 0};
+    const std::uint64_t policy_root = stats::stream_seed(
+        request_root, static_cast<std::uint64_t>(policy));
+    const Json::Array& detection =
+        cell.find("hourly_mean_detection")->as_array();
+    const Json::Array& eta = cell.find("hourly_eta")->as_array();
+    ASSERT_EQ(detection.size(), hours.size());
+    ASSERT_EQ(eta.size(), hours.size());
+    double probes = 0.0;
+    double replays = 0.0;
+    for (std::size_t i = 0; i < hours.size(); ++i) {
+      const auto hour = static_cast<std::size_t>(hours[i].as_number());
+      const auto cur = daemon->snapshot_at(hour);
+      const auto prev = daemon->snapshot_at(hour - 1);
+      ASSERT_TRUE(cur && prev && cur->keyed && prev->keyed);
+      const attack::HourKeys keys{hour, cur->reactances, cur->z_ref,
+                                  prev->reactances};
+      stats::Rng rng = stats::make_stream(policy_root, hour);
+      const attack::HourScore want =
+          attack::score_hour(sys, spec, keys, scoring, rng);
+      EXPECT_EQ(detection[i].as_number(), want.mean_detection) << hour;
+      EXPECT_EQ(eta[i].as_number(), want.eta) << hour;
+      probes += static_cast<double>(want.probes);
+      replays += want.replayed ? 1.0 : 0.0;
+    }
+    EXPECT_EQ(cell.find("probes_used")->as_number(), probes);
+    EXPECT_EQ(cell.find("boundary_replays")->as_number(), replays);
+  }
 }
 
 }  // namespace

@@ -78,7 +78,7 @@ BENCHMARK(BM_DcPowerFlow)->DenseRange(0, 5);
 void BM_DispatchLp(benchmark::State& state) {
   const grid::PowerSystem sys = system_for(static_cast<int>(state.range(0)));
   for (auto _ : state) {
-    benchmark::DoNotOptimize(opf::solve_dc_opf(sys));
+    benchmark::DoNotOptimize(opf::solve_dispatch_lp(sys, sys.reactances()));
   }
   state.SetLabel(system_name(static_cast<int>(state.range(0))));
 }
@@ -183,7 +183,7 @@ BENCHMARK(BM_AnalyticDetectionProbability);
 // against the attacker matrix. The *Svd variants are the pre-optimization
 // reference (full H rebuild + Bjorck-Golub SVD spa + one simplex solve per
 // candidate); the *Fast variants are the shipped path (SpaEvaluator rank-k
-// updates + DispatchEvaluator merit-order certificate). CI guards the Fast
+// updates + solve_dc_opf's merit-order certificate). CI guards the Fast
 // timings against bench/baseline.json and asserts Fast >= 5x Svd.
 
 std::vector<linalg::Vector> selection_candidates(
@@ -212,7 +212,7 @@ void BM_Case57SelectionLoopSvd(benchmark::State& state) {
   for (auto _ : state) {
     double acc = 0.0;
     for (const linalg::Vector& x : candidates) {
-      const opf::DispatchResult d = opf::solve_dc_opf(sys, x);
+      const opf::DispatchResult d = opf::solve_dispatch_lp(sys, x);
       acc += d.feasible ? d.cost : 0.0;
       acc += mtd::spa(h0, grid::measurement_matrix(sys, x));
     }
@@ -226,11 +226,10 @@ void BM_Case57SelectionLoopFast(benchmark::State& state) {
   const grid::PowerSystem sys = grid::make_case57();
   const auto candidates = selection_candidates(sys, kSelectionSweep);
   const mtd::SpaEvaluator spa_eval(sys, sys.reactances());
-  const opf::DispatchEvaluator dispatch_eval(sys);
   for (auto _ : state) {
     double acc = 0.0;
     for (const linalg::Vector& x : candidates) {
-      const opf::DispatchResult d = dispatch_eval.evaluate(x);
+      const opf::DispatchResult d = opf::solve_dc_opf(sys, x);
       acc += d.feasible ? d.cost : 0.0;
       acc += spa_eval.gamma(x);
     }
@@ -247,11 +246,10 @@ void BM_Case118SelectionLoopFast(benchmark::State& state) {
   const grid::PowerSystem sys = grid::make_case118();
   const auto candidates = selection_candidates(sys, kSelectionSweep);
   const mtd::SpaEvaluator spa_eval(sys, sys.reactances());
-  const opf::DispatchEvaluator dispatch_eval(sys);
   for (auto _ : state) {
     double acc = 0.0;
     for (const linalg::Vector& x : candidates) {
-      const opf::DispatchResult d = dispatch_eval.evaluate(x);
+      const opf::DispatchResult d = opf::solve_dc_opf(sys, x);
       acc += d.feasible ? d.cost : 0.0;
       acc += spa_eval.gamma(x);
     }
@@ -313,16 +311,15 @@ void BM_LargestPrincipalAngleQr(benchmark::State& state) {
 }
 BENCHMARK(BM_LargestPrincipalAngleQr)->DenseRange(0, 5);
 
-void BM_DispatchEvaluatorCase57(benchmark::State& state) {
+void BM_DcOpfCase57(benchmark::State& state) {
   const grid::PowerSystem sys = grid::make_case57();
-  const opf::DispatchEvaluator evaluator(sys);
   linalg::Vector x = sys.reactances();
   for (std::size_t l : sys.dfacts_branches()) x[l] *= 1.3;
   for (auto _ : state) {
-    benchmark::DoNotOptimize(evaluator.evaluate(x));
+    benchmark::DoNotOptimize(opf::solve_dc_opf(sys, x));
   }
 }
-BENCHMARK(BM_DispatchEvaluatorCase57)->Unit(benchmark::kMicrosecond);
+BENCHMARK(BM_DcOpfCase57)->Unit(benchmark::kMicrosecond);
 
 void BM_JacobiSvd(benchmark::State& state) {
   stats::Rng rng(4);

@@ -166,15 +166,14 @@ bool audit_zones(const std::string& spec, std::size_t num_zones) {
 
   // Full-model recheck: the stitched per-zone dispatch must balance on
   // the coupled network at every envelope factor (tie flows absorb the
-  // inter-zone coupling; the sparse solve is the only tractable path at
-  // this scale).
+  // inter-zone coupling).
   const linalg::Vector inj = grid::nodal_injections(sys, generation);
   double max_utilization = 0.0;
   for (double factor : {0.5, 0.75, 1.0, 1.25, 1.5}) {
     linalg::Vector x = sys.reactances();
     for (std::size_t l : sys.dfacts_branches()) x[l] *= factor;
     const grid::DcPowerFlowResult pf =
-        grid::solve_dc_power_flow_sparse(sys, x, inj);
+        grid::solve_dc_power_flow(sys, x, inj);
     std::vector<double> net(sys.num_buses(), 0.0);
     for (std::size_t l = 0; l < sys.num_branches(); ++l) {
       net[sys.branch(l).from] += pf.flows_mw[l];

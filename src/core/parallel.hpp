@@ -51,9 +51,8 @@ void parallel_for(std::size_t count, Fn&& fn, ThreadPool* pool = nullptr) {
 /// Determinism rule: `fn(state, i)`'s observable result must be a function
 /// of `i` alone — states built by `make_state()` must be interchangeable,
 /// because which worker's state serves index i depends on scheduling.
-/// Const, thread-safe evaluators (`mtd::SpaEvaluator`,
-/// `opf::DispatchEvaluator`) need no per-worker copy: build one and share
-/// it through plain `parallel_for`.
+/// Const, thread-safe evaluators (`mtd::SpaEvaluator`) need no per-worker
+/// copy: build one and share it through plain `parallel_for`.
 template <typename MakeState, typename Fn>
 void parallel_for_with_state(std::size_t count, MakeState&& make_state,
                              Fn&& fn, ThreadPool* pool = nullptr) {

@@ -1,78 +1,35 @@
 #include "grid/power_flow.hpp"
 
+#include <algorithm>
 #include <cassert>
 #include <cmath>
 #include <stdexcept>
 
-#include "linalg/lu.hpp"
 #include "linalg/sparse_cholesky.hpp"
 #include "linalg/sparse_matrix.hpp"
+#include "obs/scope.hpp"
 
 namespace mtdgrid::grid {
-
-namespace {
-
-// Shared argument/balance validation and reduced-injection packing of the
-// dense and sparse solvers.
-linalg::Vector reduced_injections(const PowerSystem& sys,
-                                  const linalg::Vector& injections_mw,
-                                  double balance_tol) {
-  if (injections_mw.size() != sys.num_buses())
-    throw std::invalid_argument("power flow: wrong injection vector length");
-  const double imbalance = injections_mw.sum();
-  if (std::abs(imbalance) >
-      balance_tol * std::max(1.0, injections_mw.norm1()))
-    throw std::invalid_argument("power flow: injections do not balance");
-  linalg::Vector p_reduced(sys.num_buses() - 1);
-  std::size_t k = 0;
-  for (std::size_t i = 0; i < sys.num_buses(); ++i) {
-    if (i == sys.slack_bus()) continue;
-    p_reduced[k++] = injections_mw[i];
-  }
-  return p_reduced;
-}
-
-}  // namespace
 
 DcPowerFlowResult solve_dc_power_flow(const PowerSystem& sys,
                                       const linalg::Vector& x,
                                       const linalg::Vector& injections_mw,
                                       double balance_tol) {
-  // Reduced system: drop the slack bus equation and angle.
   const std::size_t n = sys.num_buses();
-  const linalg::Vector p_reduced =
-      reduced_injections(sys, injections_mw, balance_tol);
-  std::size_t k = 0;
+  if (injections_mw.size() != n)
+    throw std::invalid_argument("power flow: wrong injection vector length");
+  const double imbalance = injections_mw.sum();
+  if (std::abs(imbalance) >
+      balance_tol * std::max(1.0, injections_mw.norm1()))
+    throw std::invalid_argument("power flow: injections do not balance");
 
-  const linalg::Matrix b_reduced = sys.reduced_susceptance_matrix(x);
-  linalg::LuDecomposition lu(b_reduced);
-  if (lu.singular())
-    throw std::runtime_error("power flow: singular susceptance matrix");
-
-  DcPowerFlowResult result;
-  result.theta_reduced = lu.solve(p_reduced);
-  result.theta_full = linalg::Vector(n);
-  k = 0;
-  for (std::size_t i = 0; i < n; ++i) {
-    if (i == sys.slack_bus()) continue;
-    result.theta_full[i] = result.theta_reduced[k++];
-  }
-  result.flows_mw = branch_flows(sys, x, result.theta_reduced);
-  return result;
-}
-
-DcPowerFlowResult solve_dc_power_flow_sparse(const PowerSystem& sys,
-                                             const linalg::Vector& x,
-                                             const linalg::Vector& injections_mw,
-                                             double balance_tol) {
-  const std::size_t n = sys.num_buses();
-  const linalg::Vector p_reduced =
-      reduced_injections(sys, injections_mw, balance_tol);
+  // Reduced system: drop the slack bus equation and angle. Reduced
+  // index = bus-1 because the slack is pinned at bus 0.
+  linalg::Vector p_reduced(n - 1);
+  for (std::size_t i = 1; i < n; ++i) p_reduced[i - 1] = injections_mw[i];
 
   // Reduced susceptance matrix in CSR: per-branch contributions in branch
-  // order, the same accumulation order as the dense susceptance loop
-  // (the TripletBuilder insertion-order contract). Reduced index = bus-1
-  // because the slack is pinned at bus 0.
+  // order (the TripletBuilder insertion-order contract).
   const linalg::Vector d = sys.branch_susceptances(x);
   linalg::TripletBuilder builder(n - 1, n - 1);
   builder.reserve(4 * sys.num_branches());
@@ -86,6 +43,7 @@ DcPowerFlowResult solve_dc_power_flow_sparse(const PowerSystem& sys,
       builder.add(j - 1, i - 1, -d[l]);
     }
   }
+  obs::add(obs::Work::kPowerFlowSolves);
   const linalg::SparseCholesky chol(builder.build());
   if (chol.failed())
     throw std::runtime_error("power flow: singular susceptance matrix");
@@ -93,11 +51,8 @@ DcPowerFlowResult solve_dc_power_flow_sparse(const PowerSystem& sys,
   DcPowerFlowResult result;
   result.theta_reduced = chol.solve(p_reduced);
   result.theta_full = linalg::Vector(n);
-  std::size_t k = 0;
-  for (std::size_t i = 0; i < n; ++i) {
-    if (i == sys.slack_bus()) continue;
-    result.theta_full[i] = result.theta_reduced[k++];
-  }
+  for (std::size_t i = 1; i < n; ++i)
+    result.theta_full[i] = result.theta_reduced[i - 1];
   result.flows_mw = branch_flows(sys, x, result.theta_reduced);
   return result;
 }

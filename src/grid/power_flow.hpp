@@ -15,29 +15,22 @@ struct DcPowerFlowResult {
 /// Solves the DC power flow B_r theta = p for the given nodal injections
 /// (generation minus load, MW, length N). The injections must balance to
 /// zero within `balance_tol`; the slack equation is redundant and dropped.
-/// Throws std::invalid_argument on imbalance, std::runtime_error when the
+///
+/// B_r is assembled directly in CSR (branch order, the TripletBuilder
+/// insertion-order contract) and solved with the minimum-degree-ordered
+/// sparse Cholesky: B_r is symmetric positive definite for a connected
+/// network and has ~2 entries per branch, so the solve scales to the
+/// composed mega-grids, where a dense B_r would not fit. Each call
+/// factors B_r once and counts one `power_flow_solves` (and one
+/// `cholesky_factorizations`) in the active metrics registry.
+/// Throws std::invalid_argument on a wrong-length injection vector, on
+/// imbalance, or on a malformed `x` (see
+/// `PowerSystem::branch_susceptances`); std::runtime_error when the
 /// susceptance matrix is singular (disconnected network).
 DcPowerFlowResult solve_dc_power_flow(const PowerSystem& sys,
                                       const linalg::Vector& x,
                                       const linalg::Vector& injections_mw,
                                       double balance_tol = 1e-6);
-
-/// Sparse DC power flow (CSR counterpart of `solve_dc_power_flow`):
-/// assembles the reduced susceptance matrix directly in CSR
-/// (TripletBuilder, branch assembly order) and solves it
-/// with the minimum-degree-ordered sparse Cholesky — B_r is symmetric
-/// positive definite for a connected network. At mega-grid scale
-/// (1k-10k buses, ROADMAP "Synthetic mega-grids") the dense LU path is
-/// O(N^2) memory and O(N^3) time while the grid's B_r has ~2 entries per
-/// branch, so this is the only tractable route; the composed-case audit
-/// and the zone-decomposed selection boundary check run through it.
-/// Same exceptions as the dense solver; angles agree with it to solver
-/// tolerance (not bit-exactly — the factorizations differ), which the
-/// conformance tests pin.
-DcPowerFlowResult solve_dc_power_flow_sparse(const PowerSystem& sys,
-                                             const linalg::Vector& x,
-                                             const linalg::Vector& injections_mw,
-                                             double balance_tol = 1e-6);
 
 /// Branch flows for a given reduced state: f = D A_r^T theta (MW).
 linalg::Vector branch_flows(const PowerSystem& sys, const linalg::Vector& x,

@@ -1,6 +1,6 @@
 #include "grid/power_system.hpp"
 
-#include <cassert>
+#include <cmath>
 #include <queue>
 #include <stdexcept>
 
@@ -109,10 +109,14 @@ linalg::Matrix PowerSystem::reduced_branch_incidence() const {
 
 linalg::Vector PowerSystem::branch_susceptances(
     const linalg::Vector& x) const {
-  assert(x.size() == num_branches());
+  if (x.size() != num_branches())
+    throw std::invalid_argument("reactance vector length must equal the "
+                                "branch count");
   linalg::Vector d(num_branches());
   for (std::size_t l = 0; l < num_branches(); ++l) {
-    assert(x[l] > 0.0);
+    if (!(x[l] > 0.0) || !std::isfinite(x[l]))
+      throw std::invalid_argument("branch reactances must be positive and "
+                                  "finite");
     d[l] = base_mva_ / x[l];
   }
   return d;
@@ -130,15 +134,6 @@ linalg::Matrix PowerSystem::susceptance_matrix(const linalg::Vector& x) const {
     b(j, i) -= d[l];
   }
   return b;
-}
-
-linalg::Matrix PowerSystem::reduced_susceptance_matrix(
-    const linalg::Vector& x) const {
-  const linalg::Matrix full = susceptance_matrix(x);
-  return full.without_col(slack_bus())
-      .transposed()
-      .without_col(slack_bus())
-      .transposed();
 }
 
 void PowerSystem::validate() const {

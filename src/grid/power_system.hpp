@@ -111,14 +111,13 @@ class PowerSystem {
   linalg::Matrix reduced_branch_incidence() const;
 
   /// Diagonal of D: base_mva / x_l, so that D A^T theta yields MW flows.
+  /// Throws std::invalid_argument when `x` does not have length L or has
+  /// an entry that is not a positive finite number; every dispatch and
+  /// power-flow entry point reads `x` through here.
   linalg::Vector branch_susceptances(const linalg::Vector& x) const;
 
   /// Full nodal susceptance matrix B = A D A^T (N x N, singular).
   linalg::Matrix susceptance_matrix(const linalg::Vector& x) const;
-
-  /// Reduced nodal susceptance matrix (N-1 x N-1, non-singular for a
-  /// connected network), slack row/column removed.
-  linalg::Matrix reduced_susceptance_matrix(const linalg::Vector& x) const;
 
   /// Validates structural sanity (indices in range, positive reactances,
   /// connected network). Throws std::invalid_argument on violation.

@@ -7,9 +7,9 @@ namespace mtdgrid::linalg {
 
 /// LU factorization with partial pivoting of a square matrix: `P A = L U`.
 ///
-/// Used to solve the DC power-flow equations `B θ = p` and small general
-/// linear systems. Construction performs the factorization once; `solve`
-/// can then be called repeatedly.
+/// Used for small general linear systems (the k x k `I + S` solve in
+/// `mtd::SpaEvaluator::gamma`). Construction performs the factorization
+/// once; `solve` can then be called repeatedly.
 class LuDecomposition {
  public:
   /// Factorizes the square matrix `a`.

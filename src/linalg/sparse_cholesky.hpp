@@ -26,7 +26,7 @@ std::vector<std::size_t> minimum_degree_ordering(const SparseMatrix& a);
 /// Sparse Cholesky factorization `P A P^T = L L^T` of a symmetric
 /// positive-definite matrix: the weighted-Gram factor of
 /// `estimation::StateEstimator` and the susceptance solve of
-/// `grid::solve_dc_power_flow_sparse`.
+/// `grid::solve_dc_power_flow`.
 ///
 /// The factorization is simplicial up-looking (CSparse-style): an
 /// elimination tree drives the symbolic pattern of each row of L, and a

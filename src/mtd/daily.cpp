@@ -47,13 +47,11 @@ DailyEngine::DailyEngine(grid::PowerSystem sys, grid::DailyLoadTrace trace,
   for (std::size_t h = 0; h < hours; ++h) {
     trace_.apply(sys_, h, base_loads_);
     constexpr double kInfeasiblePenalty = 1e12;
-    // One evaluator per hour (the merit-order certificate depends on the
-    // hour's loads); the local search below then runs LP-free whenever the
-    // relaxed dispatch stays inside the flow limits.
-    const opf::DispatchEvaluator evaluator(sys_);
+    // The local search runs LP-free whenever the hour's merit-order
+    // dispatch stays inside the flow limits (`solve_dc_opf`'s certificate).
     const auto cost_of = [&](const linalg::Vector& dfacts_x) {
       const linalg::Vector x = opf::expand_dfacts_reactances(sys_, dfacts_x);
-      const opf::DispatchResult d = evaluator.evaluate(x);
+      const opf::DispatchResult d = opf::solve_dc_opf(sys_, x);
       return d.feasible ? d.cost : kInfeasiblePenalty;
     };
     opf::DirectSearchOptions local;

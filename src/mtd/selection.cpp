@@ -35,17 +35,16 @@ MtdSelectionResult select_mtd_perturbation(const grid::PowerSystem& sys,
   const double penalty = options.penalty_scale * base_opf_cost;
   constexpr double kInfeasiblePenalty = 1e15;
 
-  // One evaluator pair per call, shared by every worker: both are const
-  // and thread-safe, and one construction keeps the Gram factorization
-  // count independent of the thread count.
+  // One SPA evaluator per call, shared by every worker: it is const and
+  // thread-safe, and one construction keeps the Gram factorization count
+  // independent of the thread count.
   const SpaEvaluator spa_eval(sys, x_attacker);
-  const opf::DispatchEvaluator dispatch_eval(sys);
 
   // Penalized objective: dispatch cost + quadratic penalty on the unmet
   // part of the SPA constraint (exact for a large enough multiplier).
   const auto objective = [&](const linalg::Vector& dfacts_x) {
     const linalg::Vector x = opf::expand_dfacts_reactances(sys, dfacts_x);
-    const opf::DispatchResult d = dispatch_eval.evaluate(x);
+    const opf::DispatchResult d = opf::solve_dc_opf(sys, x);
     if (!d.feasible) return kInfeasiblePenalty;
     const double gamma = spa_eval.gamma(x);
     const double deficit =

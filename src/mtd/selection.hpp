@@ -51,14 +51,14 @@ struct MtdSelectionResult {
 /// the paper's cost metric (3). A malformed `x_attacker` throws the
 /// `SpaEvaluator` constructor's std::invalid_argument.
 ///
-/// Implementation: for fixed reactances the cost is the dispatch LP; the
-/// SPA constraint is enforced with an exact-penalty term and the D-FACTS
-/// reactances are optimized by multi-start Nelder-Mead, mirroring the
-/// paper's fmincon + MultiStart approach. Each call builds one
-/// `SpaEvaluator` (the k x k gamma tables) and one
-/// `opf::DispatchEvaluator` (the merit-order dispatch certificate); both
-/// are const and thread-safe, and every pool worker shares them. The
-/// reported `spa` comes from the same evaluator.
+/// Implementation: for fixed reactances the cost is the DC-OPF
+/// (`opf::solve_dc_opf`: the merit-order certificate, with the dispatch
+/// LP as its fallback); the SPA constraint is enforced with an
+/// exact-penalty term and the D-FACTS reactances are optimized by
+/// multi-start Nelder-Mead, mirroring the paper's fmincon + MultiStart
+/// approach. Each call builds one `SpaEvaluator` (the k x k gamma
+/// tables), which is const and thread-safe and shared by every pool
+/// worker. The reported `spa` comes from the same evaluator.
 MtdSelectionResult select_mtd_perturbation(const grid::PowerSystem& sys,
                                            const linalg::Vector& x_attacker,
                                            double base_opf_cost,

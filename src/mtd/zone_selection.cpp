@@ -174,14 +174,14 @@ ZoneSelectionResult select_mtd_zones(const grid::PowerSystem& sys,
   if (options.check_detection) {
     // Operating point: the stitched per-zone dispatches (each zone
     // balances its own load, so the full network balances) through the
-    // sparse power flow at the stitched reactances.
+    // power flow at the stitched reactances.
     linalg::Vector generation(sys.num_generators());
     for (std::size_t z = 0; z < num_zones; ++z) {
       const std::vector<std::size_t>& gmap = zones[z].gen_map;
       for (std::size_t g = 0; g < gmap.size(); ++g)
         generation[gmap[g]] = result.zones[z].result.dispatch.generation_mw[g];
     }
-    const grid::DcPowerFlowResult pf = grid::solve_dc_power_flow_sparse(
+    const grid::DcPowerFlowResult pf = grid::solve_dc_power_flow(
         sys, result.reactances, grid::nodal_injections(sys, generation));
     const linalg::Vector z_ref = grid::noiseless_measurements(
         sys, result.reactances, pf.theta_reduced);

@@ -42,6 +42,10 @@ constexpr WorkInfo kWorkInfo[kWorkCount] = {
     {"pool_tasks", "Tasks submitted to parallel regions (structural, not "
                    "thread-count invariant)",
      false},
+    {"power_flow_solves",
+     "DC power flows solved by grid::solve_dc_power_flow (one sparse "
+     "Cholesky factorization each)",
+     true},
 };
 
 }  // namespace

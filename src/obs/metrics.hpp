@@ -41,6 +41,9 @@ enum class Work : std::size_t {
   kCampaignCells,            ///< campaign frontier cells completed
   kPoolRegions,              ///< `core::parallel_*` regions entered
   kPoolTasks,                ///< tasks submitted to those regions
+  kPowerFlowSolves,          ///< `grid::solve_dc_power_flow` factor-and-
+                             ///< solves (each also counts one
+                             ///< `kCholeskyFactorizations`)
   kCount,                    ///< number of counters (not a counter)
 };
 

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cassert>
 #include <cmath>
+#include <stdexcept>
 #include <vector>
 
 #include "grid/power_flow.hpp"
@@ -10,9 +11,8 @@
 
 namespace mtdgrid::opf {
 
-DispatchResult solve_dc_opf(const grid::PowerSystem& sys,
-                            const linalg::Vector& x) {
-  assert(x.size() == sys.num_branches());
+DispatchResult solve_dispatch_lp(const grid::PowerSystem& sys,
+                                 const linalg::Vector& x) {
   const std::size_t num_gen = sys.num_generators();
   const std::size_t num_buses = sys.num_buses();
   const std::size_t num_branches = sys.num_branches();
@@ -91,78 +91,69 @@ double dispatch_cost(const grid::PowerSystem& sys,
   return cost;
 }
 
-DispatchEvaluator::DispatchEvaluator(const grid::PowerSystem& sys)
-    : sys_(sys) {
-  // Merit-order fill: every generator at its minimum, then the residual
-  // load assigned in ascending cost order. This is the exact optimum of
-  // the dispatch LP with the flow limits relaxed (the balance constraints
-  // summed over buses reduce to sum G = total load, and the angles are
-  // free), so it is a valid optimum certificate whenever it is
-  // flow-feasible.
-  const std::size_t num_gen = sys_.num_generators();
-  relaxed_generation_ = linalg::Vector(num_gen);
-  double residual = sys_.total_load_mw();
+namespace {
+
+// Merit-order fill: every generator at its minimum, then the residual load
+// assigned in ascending cost order. This is the exact optimum of the
+// dispatch LP with the flow limits relaxed (the balance constraints summed
+// over buses reduce to sum G = total load, and the angles are free), so it
+// is an optimality certificate whenever it is flow-feasible. Returns false
+// when the minimums exceed the load or the capacity falls short of it (the
+// LP then decides feasibility).
+bool merit_order_fill(const grid::PowerSystem& sys,
+                      linalg::Vector& generation) {
+  const std::size_t num_gen = sys.num_generators();
+  generation = linalg::Vector(num_gen);
+  double residual = sys.total_load_mw();
   for (std::size_t g = 0; g < num_gen; ++g) {
-    relaxed_generation_[g] = sys_.generator(g).min_mw;
-    residual -= sys_.generator(g).min_mw;
+    generation[g] = sys.generator(g).min_mw;
+    residual -= sys.generator(g).min_mw;
   }
-  if (residual < -1e-9) return;  // sum of minimums exceeds the load
+  if (residual < -1e-9) return false;
 
   std::vector<std::size_t> order(num_gen);
   for (std::size_t g = 0; g < num_gen; ++g) order[g] = g;
   std::sort(order.begin(), order.end(), [&](std::size_t a, std::size_t b) {
-    return sys_.generator(a).cost_per_mwh < sys_.generator(b).cost_per_mwh;
+    return sys.generator(a).cost_per_mwh < sys.generator(b).cost_per_mwh;
   });
   for (std::size_t g : order) {
-    const double headroom =
-        sys_.generator(g).max_mw - sys_.generator(g).min_mw;
+    const double headroom = sys.generator(g).max_mw - sys.generator(g).min_mw;
     const double add = std::min(residual, headroom);
     if (add > 0.0) {
-      relaxed_generation_[g] += add;
+      generation[g] += add;
       residual -= add;
     }
   }
-  if (residual > 1e-9) return;  // insufficient capacity: LP infeasible too
-
-  relaxed_cost_ = dispatch_cost(sys_, relaxed_generation_);
-  injections_mw_ = grid::nodal_injections(sys_, relaxed_generation_);
-  relaxed_ok_ = true;
+  return residual <= 1e-9;
 }
 
-DispatchResult DispatchEvaluator::evaluate(const linalg::Vector& x) const {
-  assert(x.size() == sys_.num_branches());
-  if (relaxed_ok_) {
-    grid::DcPowerFlowResult pf;
-    bool solved = true;
+}  // namespace
+
+DispatchResult solve_dc_opf(const grid::PowerSystem& sys,
+                            const linalg::Vector& x) {
+  linalg::Vector generation;
+  if (merit_order_fill(sys, generation)) {
     try {
-      pf = grid::solve_dc_power_flow(sys_, x, injections_mw_);
-    } catch (const std::exception&) {
-      solved = false;  // singular B (disconnected candidate): let the LP
-                       // report infeasibility
-    }
-    if (solved) {
+      grid::DcPowerFlowResult pf = grid::solve_dc_power_flow(
+          sys, x, grid::nodal_injections(sys, generation));
       bool within_limits = true;
-      for (std::size_t l = 0; l < sys_.num_branches(); ++l) {
-        const double limit = sys_.branch(l).flow_limit_mw;
-        if (std::abs(pf.flows_mw[l]) > limit + 1e-6) {
-          within_limits = false;
-          break;
-        }
-      }
+      for (std::size_t l = 0; l < sys.num_branches() && within_limits; ++l)
+        within_limits =
+            std::abs(pf.flows_mw[l]) <= sys.branch(l).flow_limit_mw + 1e-6;
       if (within_limits) {
-        ++fast_hits_;
         DispatchResult result;
         result.feasible = true;
-        result.generation_mw = relaxed_generation_;
+        result.cost = dispatch_cost(sys, generation);
+        result.generation_mw = std::move(generation);
         result.theta_reduced = std::move(pf.theta_reduced);
         result.flows_mw = std::move(pf.flows_mw);
-        result.cost = relaxed_cost_;
         return result;
       }
+    } catch (const std::runtime_error&) {
+      // Singular B (a disconnected candidate): the LP reports infeasibility.
     }
   }
-  ++lp_fallbacks_;
-  return solve_dc_opf(sys_, x);
+  return solve_dispatch_lp(sys, x);
 }
 
 }  // namespace mtdgrid::opf

@@ -39,10 +39,9 @@ ReactanceOpfResult solve_reactance_opf(const grid::PowerSystem& sys,
   }
 
   constexpr double kInfeasiblePenalty = 1e12;
-  const DispatchEvaluator evaluator(sys);
   const auto objective = [&](const linalg::Vector& dfacts_x) {
     const linalg::Vector x = expand_dfacts_reactances(sys, dfacts_x);
-    const DispatchResult d = evaluator.evaluate(x);
+    const DispatchResult d = solve_dc_opf(sys, x);
     return d.feasible ? d.cost : kInfeasiblePenalty;
   };
 

@@ -27,9 +27,9 @@ struct ReactanceOpfResult {
 
 /// Solves min_{g, x} cost subject to the DC-OPF constraints and the
 /// D-FACTS reactance limits. For fixed x the problem is an LP, answered by
-/// one shared `DispatchEvaluator` (merit-order certificate, simplex
-/// fallback); the few D-FACTS reactances are optimized by multi-start
-/// Nelder-Mead, mirroring the paper's fmincon-with-MultiStart setup.
+/// `solve_dc_opf` (merit-order certificate, simplex fallback); the few
+/// D-FACTS reactances are optimized by multi-start Nelder-Mead, mirroring
+/// the paper's fmincon-with-MultiStart setup.
 ReactanceOpfResult solve_reactance_opf(const grid::PowerSystem& sys,
                                        stats::Rng& rng,
                                        const ReactanceOpfOptions& options = {});

@@ -1,8 +1,8 @@
 // case300x17 mega-grid scale test (slow tier): the 5100-bus composed
 // scenario must load through the registry, obey the renumbering
 // contract, round-trip through the MATPOWER writer bit-exactly, and
-// admit the sparse power flow. Dense whole-grid algebra (LU power flow,
-// the dense-LP OPF, full SPA) is intentionally absent here — at this
+// admit the (sparse-Cholesky) power flow. Dense whole-grid algebra (the
+// dense-LP OPF, full SPA) is intentionally absent here — at this
 // scale only the sparse backbone and the zone-decomposed paths are
 // tractable, which is exactly the point of the composition layer; the
 // full acceptance run is `case_audit --zones 17 case300x17` (CI perf
@@ -92,7 +92,7 @@ TEST(ComposeCase300x17SlowTest, SparsePowerFlowBalances) {
   inj[0] += sys.bus(0).load_mw;  // slack supplies everything
 
   const grid::DcPowerFlowResult pf =
-      grid::solve_dc_power_flow_sparse(sys, sys.reactances(), inj);
+      grid::solve_dc_power_flow(sys, sys.reactances(), inj);
   ASSERT_EQ(pf.flows_mw.size(), sys.num_branches());
   std::vector<double> net(sys.num_buses(), 0.0);
   for (std::size_t l = 0; l < sys.num_branches(); ++l) {

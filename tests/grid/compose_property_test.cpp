@@ -176,9 +176,10 @@ TEST(ComposePropertyTest, ComposedDispatchBalancesPerBus) {
   for (std::size_t i = 0; i < r.system.num_buses(); ++i)
     EXPECT_NEAR(net[i], inj[i], 1e-6) << "bus " << i;
 
-  // The sparse power flow reproduces the same operating point on the
-  // composed network (solver-tolerance agreement with the dense path).
-  const grid::DcPowerFlowResult pf = grid::solve_dc_power_flow_sparse(
+  // The power flow at the dispatch's injections reproduces its operating
+  // point on the composed network (to solver tolerance when the LP, not
+  // the merit-order certificate, produced the dispatch).
+  const grid::DcPowerFlowResult pf = grid::solve_dc_power_flow(
       r.system, r.system.reactances(), inj);
   for (std::size_t l = 0; l < r.system.num_branches(); ++l)
     EXPECT_NEAR(pf.flows_mw[l], d.flows_mw[l], 1e-6) << "branch " << l;

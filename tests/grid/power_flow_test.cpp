@@ -3,8 +3,11 @@
 #include <gtest/gtest.h>
 
 #include <stdexcept>
+#include <string>
 
 #include "grid/cases.hpp"
+#include "io/case_registry.hpp"
+#include "opf/dispatch_oracle.hpp"
 
 namespace mtdgrid::grid {
 namespace {
@@ -120,6 +123,21 @@ TEST(PowerFlowTest, SuperpositionHolds) {
       linalg::max_abs_diff(r12.flows_mw, r1.flows_mw + r2.flows_mw), 0.0,
       1e-8);
 }
+
+// Oracle: the sparse-Cholesky angles against a dense LU solve of B_r
+// (opf/dispatch_oracle.hpp) on every registry case up to case118 and two
+// composed grids; case300 runs in case300_slow_test.
+class PowerFlowOracle : public ::testing::TestWithParam<std::string> {};
+
+TEST_P(PowerFlowOracle, AnglesMatchDenseLu) {
+  test::check_power_flow_oracle(io::load_case(GetParam()), GetParam());
+}
+
+INSTANTIATE_TEST_SUITE_P(Cases, PowerFlowOracle,
+                         ::testing::Values("case4", "wscc9", "case14",
+                                           "ieee30", "case57", "case118",
+                                           "case14x2", "case57x2"),
+                         [](const auto& info) { return info.param; });
 
 }  // namespace
 }  // namespace mtdgrid::grid

@@ -12,6 +12,7 @@
 #include "linalg/subspace.hpp"
 #include "mtd/spa.hpp"
 #include "opf/dc_opf.hpp"
+#include "opf/dispatch_oracle.hpp"
 #include "stats/rng.hpp"
 
 namespace mtdgrid {
@@ -68,6 +69,14 @@ TEST(Case300SlowTest, OpfStaysFeasibleAcrossDfactsEnvelope) {
     const opf::DispatchResult r = opf::solve_dc_opf(sys, x);
     EXPECT_TRUE(r.feasible) << "factor " << factor;
   }
+}
+
+TEST(Case300SlowTest, DispatchCertificateMatchesLp) {
+  test::check_dispatch_oracle(grid::make_case300(), "case300");
+}
+
+TEST(Case300SlowTest, PowerFlowMatchesDenseLu) {
+  test::check_power_flow_oracle(grid::make_case300(), "case300");
 }
 
 TEST(Case300SlowTest, FastSpaPositiveUnderPerturbation) {

@@ -183,9 +183,11 @@ TEST(SelectionTest, GramFactorizationCountIsThreadCountInvariant) {
   // One SPA evaluator per call, shared by every worker: the sparse Gram
   // factorization count must not depend on how many workers the pool has
   // (campaign and daemon transcripts byte-diff this counter at 1 vs 8
-  // threads).
+  // threads). Every candidate's dispatch also factors B_r once in its
+  // power flow; those factorizations are counted in power_flow_solves
+  // and subtracted, leaving exactly the one Gram factorization.
   Fixture f;
-  std::vector<std::uint64_t> counts;
+  std::vector<std::int64_t> counts;
   for (const std::size_t threads : {1, 8}) {
     core::ThreadPool::set_global_num_threads(threads);
     obs::MetricsRegistry reg;
@@ -195,12 +197,14 @@ TEST(SelectionTest, GramFactorizationCountIsThreadCountInvariant) {
       select_mtd_perturbation(f.sys, f.x_attacker, f.base_cost,
                               f.fast_options(0.2), rng);
     }
-    counts.push_back(reg.work_snapshot()[static_cast<std::size_t>(
-        obs::Work::kCholeskyFactorizations)]);
+    counts.push_back(
+        static_cast<std::int64_t>(
+            reg.value(obs::Work::kCholeskyFactorizations)) -
+        static_cast<std::int64_t>(reg.value(obs::Work::kPowerFlowSolves)));
   }
   core::ThreadPool::set_global_num_threads(0);  // restore the default
   EXPECT_EQ(counts[0], counts[1]);
-  EXPECT_EQ(counts[0], 1u);
+  EXPECT_EQ(counts[0], 1);
 }
 
 }  // namespace

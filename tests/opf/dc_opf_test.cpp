@@ -5,12 +5,18 @@
 #include <algorithm>
 #include <cmath>
 #include <cstddef>
+#include <cstdint>
+#include <functional>
+#include <stdexcept>
 #include <string>
 #include <thread>
 #include <vector>
 
 #include "grid/cases.hpp"
 #include "grid/power_flow.hpp"
+#include "io/case_registry.hpp"
+#include "obs/scope.hpp"
+#include "opf/dispatch_oracle.hpp"
 #include "stats/rng.hpp"
 
 namespace mtdgrid::opf {
@@ -178,45 +184,36 @@ TEST_P(DcOpfLoadMonotoneProperty, CostIncreasesWithLoad) {
 INSTANTIATE_TEST_SUITE_P(Scales, DcOpfLoadMonotoneProperty,
                          ::testing::Values(0.55, 0.7, 0.85, 1.0, 1.1, 1.2));
 
-// --- DispatchEvaluator: amortized OPF sweeps ----------------------------
+// --- The merit-order certificate against the dispatch LP ----------------
 
-class DispatchEvaluatorProperty : public ::testing::TestWithParam<int> {};
-
-TEST_P(DispatchEvaluatorProperty, MatchesSimplexAcrossPerturbations) {
-  const PowerSystem sys =
-      GetParam() % 2 == 0 ? grid::make_case14() : grid::make_case57();
-  const DispatchEvaluator evaluator(sys);
-  stats::Rng rng(500 + GetParam());
-  const linalg::Vector lo = sys.reactance_lower_limits();
-  const linalg::Vector hi = sys.reactance_upper_limits();
-  for (int t = 0; t < 5; ++t) {
-    linalg::Vector x = sys.reactances();
-    for (std::size_t l : sys.dfacts_branches())
-      x[l] = rng.uniform(lo[l], hi[l]);
-    const DispatchResult reference = solve_dc_opf(sys, x);
-    const DispatchResult fast = evaluator.evaluate(x);
-    ASSERT_EQ(fast.feasible, reference.feasible);
-    if (reference.feasible) {
-      EXPECT_NEAR(fast.cost, reference.cost,
-                  1e-6 * std::max(1.0, reference.cost));
-      // The returned dispatch must balance and respect the flow limits.
-      double total = 0.0;
-      for (std::size_t g = 0; g < fast.generation_mw.size(); ++g)
-        total += fast.generation_mw[g];
-      EXPECT_NEAR(total, sys.total_load_mw(), 1e-6);
-      for (std::size_t l = 0; l < sys.num_branches(); ++l)
-        EXPECT_LE(std::abs(fast.flows_mw[l]),
-                  sys.branch(l).flow_limit_mw + 1e-5);
-    }
+std::uint64_t simplex_solves_during(const std::function<void()>& fn) {
+  obs::MetricsRegistry reg;
+  {
+    obs::ScopedRegistry scope(&reg);
+    fn();
   }
+  return reg.value(obs::Work::kSimplexSolves);
 }
 
-INSTANTIATE_TEST_SUITE_P(Seeds, DispatchEvaluatorProperty,
-                         ::testing::Range(0, 6));
+// Oracle: `solve_dc_opf` (certificate first, LP fallback) against the bare
+// B-theta LP (opf/dispatch_oracle.hpp) on every registry case up to
+// case118 and two composed grids; case300 runs in case300_slow_test.
+class DcOpfCertificateOracle
+    : public ::testing::TestWithParam<std::string> {};
 
-TEST(DispatchEvaluatorTest, FallsBackToSimplexUnderCongestion) {
+TEST_P(DcOpfCertificateOracle, MatchesDispatchLp) {
+  test::check_dispatch_oracle(io::load_case(GetParam()), GetParam());
+}
+
+INSTANTIATE_TEST_SUITE_P(Cases, DcOpfCertificateOracle,
+                         ::testing::Values("case4", "wscc9", "case14",
+                                           "ieee30", "case57", "case118",
+                                           "case14x2", "case57x2"),
+                         [](const auto& info) { return info.param; });
+
+TEST(DcOpfCertificateTest, FallsBackToLpUnderCongestion) {
   // Shrink one loaded line's limit so the merit-order dispatch violates it:
-  // the evaluator must fall back to the LP and still match solve_dc_opf.
+  // solve_dc_opf must run the LP and match it.
   PowerSystem sys = grid::make_case14();
   const DispatchResult base = solve_dc_opf(sys);
   ASSERT_TRUE(base.feasible);
@@ -226,37 +223,36 @@ TEST(DispatchEvaluatorTest, FallsBackToSimplexUnderCongestion) {
       busiest = l;
   sys.branch(busiest).flow_limit_mw = 0.9 * std::abs(base.flows_mw[busiest]);
 
-  const DispatchEvaluator evaluator(sys);
-  const DispatchResult reference = solve_dc_opf(sys, sys.reactances());
-  const DispatchResult fast = evaluator.evaluate(sys.reactances());
-  ASSERT_EQ(fast.feasible, reference.feasible);
+  const DispatchResult reference = solve_dispatch_lp(sys, sys.reactances());
+  DispatchResult got;
+  const std::uint64_t lps =
+      simplex_solves_during([&] { got = solve_dc_opf(sys); });
+  EXPECT_EQ(lps, 1u);
+  ASSERT_EQ(got.feasible, reference.feasible);
   if (reference.feasible)
-    EXPECT_NEAR(fast.cost, reference.cost,
+    EXPECT_NEAR(got.cost, reference.cost,
                 1e-6 * std::max(1.0, reference.cost));
-  EXPECT_GE(evaluator.lp_fallbacks(), 1u);
 }
 
-TEST(DispatchEvaluatorTest, FastPathIsTakenWhenUncongested) {
+TEST(DcOpfCertificateTest, CertificateSkipsLpWhenUncongested) {
   const PowerSystem sys = uncongested_two_gen();
-  const DispatchEvaluator evaluator(sys);
-  const DispatchResult fast = evaluator.evaluate(sys.reactances());
-  const DispatchResult reference = solve_dc_opf(sys);
-  ASSERT_TRUE(fast.feasible);
-  EXPECT_NEAR(fast.cost, reference.cost, 1e-9 * (1.0 + reference.cost));
-  EXPECT_EQ(evaluator.fast_path_hits(), 1u);
-  EXPECT_EQ(evaluator.lp_fallbacks(), 0u);
+  DispatchResult got;
+  const std::uint64_t lps =
+      simplex_solves_during([&] { got = solve_dc_opf(sys); });
+  EXPECT_EQ(lps, 0u);
+  const DispatchResult reference = solve_dispatch_lp(sys, sys.reactances());
+  ASSERT_TRUE(got.feasible);
+  EXPECT_NEAR(got.cost, reference.cost, 1e-9 * (1.0 + reference.cost));
 }
 
-TEST(DispatchEvaluatorTest, SharedEvaluatorIsBitIdenticalAcrossThreads) {
-  // The selection sweep shares one evaluator across the pool: eight
+TEST(DcOpfCertificateTest, BitIdenticalAcrossThreads) {
+  // The selection sweep calls solve_dc_opf from every pool worker: eight
   // threads calling it at once must reproduce the serial dispatches bit
-  // for bit, and the atomic counters must account for every call. The
-  // line the merit-order dispatch loads most is capped at its flow at
-  // nominal reactances, so the candidates land on both sides of the
-  // limit and exercise both the certificate and the simplex fallback.
+  // for bit. The line the merit-order dispatch loads most is capped at
+  // its flow at nominal reactances, so the candidates land on both sides
+  // of the limit and exercise both the certificate and the LP fallback.
   PowerSystem sys = grid::make_case57();
-  const DispatchResult relaxed =
-      DispatchEvaluator(sys).evaluate(sys.reactances());
+  const DispatchResult relaxed = solve_dc_opf(sys);
   ASSERT_TRUE(relaxed.feasible);
   std::size_t busiest = 0;
   for (std::size_t l = 1; l < sys.num_branches(); ++l)
@@ -274,11 +270,12 @@ TEST(DispatchEvaluatorTest, SharedEvaluatorIsBitIdenticalAcrossThreads) {
       x[l] = rng.uniform(lo[l], hi[l]);
     xs.push_back(std::move(x));
   }
-  const DispatchEvaluator evaluator(sys);
   std::vector<DispatchResult> serial;
-  for (const linalg::Vector& x : xs) serial.push_back(evaluator.evaluate(x));
-  EXPECT_GT(evaluator.fast_path_hits(), 0u);
-  EXPECT_GT(evaluator.lp_fallbacks(), 0u);
+  const std::uint64_t lps = simplex_solves_during([&] {
+    for (const linalg::Vector& x : xs) serial.push_back(solve_dc_opf(sys, x));
+  });
+  EXPECT_GT(lps, 0u);
+  EXPECT_LT(lps, xs.size());
 
   constexpr std::size_t kThreads = 8;
   std::vector<std::vector<DispatchResult>> parallel(
@@ -288,7 +285,7 @@ TEST(DispatchEvaluatorTest, SharedEvaluatorIsBitIdenticalAcrossThreads) {
     threads.emplace_back([&, t] {
       for (std::size_t i = 0; i < xs.size(); ++i) {
         const std::size_t c = (i + 3 * t) % xs.size();
-        parallel[t][c] = evaluator.evaluate(xs[c]);
+        parallel[t][c] = solve_dc_opf(sys, xs[c]);
       }
     });
   for (std::thread& th : threads) th.join();
@@ -309,8 +306,24 @@ TEST(DispatchEvaluatorTest, SharedEvaluatorIsBitIdenticalAcrossThreads) {
       expect_same(got.theta_reduced, serial[i].theta_reduced);
       expect_same(got.flows_mw, serial[i].flows_mw);
     }
-  EXPECT_EQ(evaluator.fast_path_hits() + evaluator.lp_fallbacks(),
-            (kThreads + 1) * xs.size());
+}
+
+TEST(DcOpfTest, RejectsMalformedReactances) {
+  // Both entry points read x through PowerSystem::branch_susceptances,
+  // which pins a wrong length or a non-positive reactance to
+  // std::invalid_argument (an out-of-bounds read before).
+  const PowerSystem sys = grid::make_case14();
+  const linalg::Vector injections =
+      grid::nodal_injections(sys, solve_dc_opf(sys).generation_mw);
+  linalg::Vector short_x(sys.num_branches() - 1, 0.1);
+  linalg::Vector zero_x = sys.reactances();
+  zero_x[3] = 0.0;
+  for (const linalg::Vector& x : {short_x, zero_x}) {
+    EXPECT_THROW(solve_dc_opf(sys, x), std::invalid_argument);
+    EXPECT_THROW(solve_dispatch_lp(sys, x), std::invalid_argument);
+    EXPECT_THROW(grid::solve_dc_power_flow(sys, x, injections),
+                 std::invalid_argument);
+  }
 }
 
 }  // namespace

@@ -211,6 +211,42 @@ INSTANTIATE_TEST_SUITE_P(Cases, DcOpfCertificateOracle,
                                            "case14x2", "case57x2"),
                          [](const auto& info) { return info.param; });
 
+// solve_dc_opf against the bare LP at random D-FACTS reactances on case14
+// (even seeds) and case57 (odd seeds). The suite keeps the name it had
+// when the certificate lived in a separate DispatchEvaluator class.
+class DispatchEvaluatorProperty : public ::testing::TestWithParam<int> {};
+
+TEST_P(DispatchEvaluatorProperty, MatchesSimplexAcrossPerturbations) {
+  const PowerSystem sys =
+      GetParam() % 2 == 0 ? grid::make_case14() : grid::make_case57();
+  stats::Rng rng(500 + GetParam());
+  const linalg::Vector lo = sys.reactance_lower_limits();
+  const linalg::Vector hi = sys.reactance_upper_limits();
+  for (int t = 0; t < 5; ++t) {
+    linalg::Vector x = sys.reactances();
+    for (std::size_t l : sys.dfacts_branches())
+      x[l] = rng.uniform(lo[l], hi[l]);
+    const DispatchResult reference = solve_dispatch_lp(sys, x);
+    const DispatchResult got = solve_dc_opf(sys, x);
+    ASSERT_EQ(got.feasible, reference.feasible);
+    if (reference.feasible) {
+      EXPECT_NEAR(got.cost, reference.cost,
+                  1e-6 * std::max(1.0, reference.cost));
+      // The returned dispatch must balance and respect the flow limits.
+      double total = 0.0;
+      for (std::size_t g = 0; g < got.generation_mw.size(); ++g)
+        total += got.generation_mw[g];
+      EXPECT_NEAR(total, sys.total_load_mw(), 1e-6);
+      for (std::size_t l = 0; l < sys.num_branches(); ++l)
+        EXPECT_LE(std::abs(got.flows_mw[l]),
+                  sys.branch(l).flow_limit_mw + 1e-5);
+    }
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(Seeds, DispatchEvaluatorProperty,
+                         ::testing::Range(0, 6));
+
 TEST(DcOpfCertificateTest, FallsBackToLpUnderCongestion) {
   // Shrink one loaded line's limit so the merit-order dispatch violates it:
   // solve_dc_opf must run the LP and match it.

@@ -11,6 +11,15 @@
 
 namespace mtdgrid::attack {
 
+namespace {
+
+// Flow magnitude (MW) below which a D-FACTS branch's reactance cannot be
+// identified from probes (x = base_mva * dtheta / f degenerates); the
+// estimator keeps the nominal reactance.
+constexpr double kMinFlowMw = 1.0;
+
+}  // namespace
+
 linalg::Vector probe_measurement(const linalg::Vector& z_ref, double sigma,
                                  std::uint64_t probe_root, std::size_t hour,
                                  std::uint64_t id) {
@@ -22,8 +31,7 @@ linalg::Vector probe_measurement(const linalg::Vector& z_ref, double sigma,
 }
 
 KeyEstimate estimate_key(const grid::PowerSystem& sys,
-                         const std::vector<linalg::Vector>& probes,
-                         const KeyEstimationOptions& options) {
+                         const std::vector<linalg::Vector>& probes) {
   if (probes.empty())
     throw std::invalid_argument("estimate_key: need at least one probe");
   const std::size_t num_branches = sys.num_branches();
@@ -98,7 +106,7 @@ KeyEstimate estimate_key(const grid::PowerSystem& sys,
     const grid::Branch& br = sys.branch(l);
     if (used_for_propagation[l]) continue;  // nominal by construction
     if (!known[br.from] || !known[br.to]) continue;
-    if (std::abs(flows_mw[l]) < options.min_flow_mw) continue;
+    if (std::abs(flows_mw[l]) < kMinFlowMw) continue;
     const double x = base_mva * (theta[br.from] - theta[br.to]) / flows_mw[l];
     if (!(x > 0.0)) continue;  // noise flipped the sign: unidentifiable
     est.reactances[l] = std::clamp(x, lo[l], hi[l]);
@@ -110,8 +118,7 @@ KeyEstimate estimate_key(const grid::PowerSystem& sys,
 KeyEstimate probe_and_estimate_key(const grid::PowerSystem& sys,
                                    const linalg::Vector& z_ref, double sigma,
                                    std::uint64_t probe_root, std::size_t hour,
-                                   int probe_budget,
-                                   const KeyEstimationOptions& options) {
+                                   int probe_budget) {
   if (probe_budget < 1)
     throw std::invalid_argument(
         "probe_and_estimate_key: probe_budget must be >= 1");
@@ -122,7 +129,7 @@ KeyEstimate probe_and_estimate_key(const grid::PowerSystem& sys,
                                        static_cast<std::uint64_t>(id)));
   obs::add(obs::Work::kAttackerProbes,
            static_cast<std::uint64_t>(probe_budget));
-  return estimate_key(sys, probes, options);
+  return estimate_key(sys, probes);
 }
 
 }  // namespace mtdgrid::attack

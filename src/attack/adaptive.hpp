@@ -31,14 +31,6 @@ linalg::Vector probe_measurement(const linalg::Vector& z_ref, double sigma,
                                  std::uint64_t probe_root, std::size_t hour,
                                  std::uint64_t id);
 
-/// Knobs of the probe-based key estimator.
-struct KeyEstimationOptions {
-  /// Flow magnitude (MW) below which a D-FACTS branch's reactance cannot
-  /// be identified from probes (x = base_mva * dtheta / f degenerates) and
-  /// the estimator falls back to the nominal reactance.
-  double min_flow_mw = 1.0;
-};
-
 /// The attacker's reconstruction of the defender's current D-FACTS key
 /// from probe-oracle samples: like every key, a reactance vector.
 struct KeyEstimate {
@@ -66,15 +58,15 @@ struct KeyEstimate {
 ///     reactance for any bus the known subgraph cannot reach;
 ///  3. identify each remaining D-FACTS reactance as
 ///     x_l = base_mva (theta_i - theta_j) / f_l, clamped to the device
-///     limits, falling back to nominal when |f_l| < min_flow_mw.
+///     limits, falling back to nominal when |f_l| < 1 MW (the ratio
+///     degenerates as the flow vanishes).
 ///
 /// H(x-hat) converges to the defender's Col(H') as the probe budget grows
 /// and goes stale the moment the defender re-keys — the two properties
 /// the campaign engine's knowledge frontier measures.
-/// Deterministic: a pure function of `(sys, probes, options)`.
+/// Deterministic: a pure function of `(sys, probes)`.
 KeyEstimate estimate_key(const grid::PowerSystem& sys,
-                         const std::vector<linalg::Vector>& probes,
-                         const KeyEstimationOptions& options = {});
+                         const std::vector<linalg::Vector>& probes);
 
 /// Draws `probe_budget` oracle samples via `probe_measurement` (ids
 /// 0..budget-1) and runs `estimate_key` on them. Adds `probe_budget` to
@@ -84,7 +76,6 @@ KeyEstimate estimate_key(const grid::PowerSystem& sys,
 KeyEstimate probe_and_estimate_key(const grid::PowerSystem& sys,
                                    const linalg::Vector& z_ref, double sigma,
                                    std::uint64_t probe_root, std::size_t hour,
-                                   int probe_budget,
-                                   const KeyEstimationOptions& options = {});
+                                   int probe_budget);
 
 }  // namespace mtdgrid::attack

@@ -127,8 +127,7 @@ HourScore score_hour(const grid::PowerSystem& sys,
     case AttackerPolicy::kProbe:
       estimate = probe_and_estimate_key(sys, keys.z_ref, eff.sigma_mw,
                                         scoring.probe_root, keys.hour,
-                                        attacker.probe_budget,
-                                        scoring.estimation);
+                                        attacker.probe_budget);
       known = &estimate.reactances;
       score.probes = static_cast<std::uint64_t>(attacker.probe_budget);
       break;
@@ -220,8 +219,7 @@ CampaignFrontier run_campaign(const grid::PowerSystem& sys,
   frontier.horizon_hours = opt.horizon_hours;
 
   const HourScoring scoring{opt.daily.effectiveness, opt.daily.target_delta,
-                            stats::stream_seed(opt.seed, kProbeOracleTag),
-                            opt.estimation};
+                            stats::stream_seed(opt.seed, kProbeOracleTag)};
   const std::uint64_t campaign_root =
       stats::stream_seed(opt.seed, kCampaignStreamTag);
 

@@ -61,13 +61,12 @@ struct HourKeys {
 };
 
 /// How every hour is scored: the effectiveness methodology (eta is
-/// reported at `target_delta`), the probe oracle's root
-/// `stream_seed(seed, kProbeOracleTag)` and the kProbe estimator knobs.
+/// reported at `target_delta`) and the probe oracle's root
+/// `stream_seed(seed, kProbeOracleTag)`.
 struct HourScoring {
   mtd::EffectivenessOptions effectiveness;  ///< `deltas` is ignored
   double target_delta = 0.9;                ///< the delta eta is read at
   std::uint64_t probe_root = 0;             ///< probe-oracle root
-  KeyEstimationOptions estimation;          ///< kProbe estimator knobs
 };
 
 /// One attacker's score for one hour.
@@ -113,8 +112,6 @@ struct CampaignOptions {
   /// embedded effectiveness options also score every campaign cell
   /// (eta is reported at `daily.target_delta`).
   mtd::DailySimulationOptions daily;
-  /// Attacker-side key-estimation knobs (kProbe).
-  KeyEstimationOptions estimation;
 };
 
 /// One cell of the frontier: one attacker against one re-keying schedule,

@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <atomic>
 #include <cstddef>
-#include <utility>
 #include <vector>
 
 #include "core/thread_pool.hpp"
@@ -87,21 +86,6 @@ std::vector<T> parallel_map(std::size_t count, Fn&& fn,
   parallel_for(
       count, [&](std::size_t i) { out[i] = fn(i); }, pool);
   return out;
-}
-
-/// Ordered parallel reduction: maps every index to a value of type T in
-/// parallel, then folds sequentially in ascending index order,
-/// `acc = fold(acc, value_i, i)`. Because the fold order is fixed, a
-/// non-associative reduction (floating-point sums, first-strictly-better
-/// argmin) produces bit-identical results for every thread count.
-template <typename T, typename Acc, typename MapFn, typename FoldFn>
-Acc parallel_reduce_ordered(std::size_t count, Acc init, MapFn&& map,
-                            FoldFn&& fold, ThreadPool* pool = nullptr) {
-  std::vector<T> values = parallel_map<T>(count, map, pool);
-  Acc acc = std::move(init);
-  for (std::size_t i = 0; i < count; ++i)
-    acc = fold(std::move(acc), std::move(values[i]), i);
-  return acc;
 }
 
 }  // namespace mtdgrid::core

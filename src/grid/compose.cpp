@@ -63,9 +63,6 @@ ComposeResult compose_cases(const PowerSystem& base,
     throw std::invalid_argument("compose: tie reactance must be positive");
   if (options.tie_limit_mw < 0.0)
     throw std::invalid_argument("compose: tie limit must be >= 0");
-  if (options.tie_dfacts_min <= 0.0 ||
-      options.tie_dfacts_min > options.tie_dfacts_max)
-    throw std::invalid_argument("compose: invalid tie D-FACTS range");
 
   std::vector<std::size_t> boundary = options.boundary_buses;
   if (boundary.empty()) {
@@ -143,11 +140,6 @@ ComposeResult compose_cases(const PowerSystem& base,
       tie.to = b * nb + boundary[(t + 1) % boundary.size()];
       tie.reactance = options.tie_reactance;
       tie.flow_limit_mw = tie_limit;
-      if (options.tie_dfacts_min != 1.0 || options.tie_dfacts_max != 1.0) {
-        tie.has_dfacts = true;
-        tie.dfacts_min_factor = options.tie_dfacts_min;
-        tie.dfacts_max_factor = options.tie_dfacts_max;
-      }
       tie_branches.push_back(branches.size());
       branches.push_back(tie);
     }

@@ -27,7 +27,7 @@ namespace mtdgrid::grid {
 ///    branches are exactly the ties;
 ///  * bus 0 of copy 0 is the global slack (the PowerSystem convention).
 /// D-FACTS flags and factors are inherited per copy; tie lines carry no
-/// D-FACTS unless `ComposeOptions::tie_dfacts` asks for them.
+/// D-FACTS (zone-decomposed selection leaves them at nominal).
 
 /// Default jitter/tie substream root used by the registry's bundled
 /// composed scenarios (case118x9, case300x17) and the `case_compose`
@@ -65,11 +65,6 @@ struct ComposeOptions {
   /// Close the copy ring (interface copies-1 -> 0) when copies >= 3;
   /// with false the copies form an open chain.
   bool ring = true;
-  /// Give every tie line a D-FACTS device with these factors (disabled
-  /// when min == max == 1). Zone-decomposed selection leaves tie
-  /// devices at nominal, so the default is off.
-  double tie_dfacts_min = 1.0;
-  double tie_dfacts_max = 1.0;
   /// Name of the composed system; empty means "<base>x<copies>".
   std::string name;
 };

@@ -13,14 +13,14 @@ namespace mtdgrid::grid {
 
 DcPowerFlowResult solve_dc_power_flow(const PowerSystem& sys,
                                       const linalg::Vector& x,
-                                      const linalg::Vector& injections_mw,
-                                      double balance_tol) {
+                                      const linalg::Vector& injections_mw) {
   const std::size_t n = sys.num_buses();
   if (injections_mw.size() != n)
     throw std::invalid_argument("power flow: wrong injection vector length");
+  constexpr double kBalanceTol = 1e-6;
   const double imbalance = injections_mw.sum();
   if (std::abs(imbalance) >
-      balance_tol * std::max(1.0, injections_mw.norm1()))
+      kBalanceTol * std::max(1.0, injections_mw.norm1()))
     throw std::invalid_argument("power flow: injections do not balance");
 
   // Reduced system: drop the slack bus equation and angle. Reduced

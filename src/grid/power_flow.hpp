@@ -14,7 +14,8 @@ struct DcPowerFlowResult {
 
 /// Solves the DC power flow B_r theta = p for the given nodal injections
 /// (generation minus load, MW, length N). The injections must balance to
-/// zero within `balance_tol`; the slack equation is redundant and dropped.
+/// zero within 1e-6 of max(1, ||p||_1); the slack equation is redundant
+/// and dropped.
 ///
 /// B_r is assembled directly in CSR (branch order, the TripletBuilder
 /// insertion-order contract) and solved with the minimum-degree-ordered
@@ -29,8 +30,7 @@ struct DcPowerFlowResult {
 /// susceptance matrix is singular (disconnected network).
 DcPowerFlowResult solve_dc_power_flow(const PowerSystem& sys,
                                       const linalg::Vector& x,
-                                      const linalg::Vector& injections_mw,
-                                      double balance_tol = 1e-6);
+                                      const linalg::Vector& injections_mw);
 
 /// Branch flows for a given reduced state: f = D A_r^T theta (MW).
 linalg::Vector branch_flows(const PowerSystem& sys, const linalg::Vector& x,

@@ -40,7 +40,6 @@ LuDecomposition::LuDecomposition(const Matrix& a) : lu_(a), p_(a.rows()) {
     if (pivot_row != k) {
       std::swap_ranges(row_k, row_k + n, lu + pivot_row * n);
       std::swap(p_[k], p_[pivot_row]);
-      sign_ = -sign_;
     }
     for (std::size_t i = k + 1; i < n; ++i) {
       double* row_i = lu + i * n;
@@ -83,13 +82,6 @@ Matrix LuDecomposition::solve(const Matrix& b) const {
   Matrix x(b.rows(), b.cols());
   for (std::size_t j = 0; j < b.cols(); ++j) x.set_col(j, solve(b.col(j)));
   return x;
-}
-
-double LuDecomposition::determinant() const {
-  if (singular_) return 0.0;
-  double det = sign_;
-  for (std::size_t i = 0; i < lu_.rows(); ++i) det *= lu_(i, i);
-  return det;
 }
 
 Vector solve(const Matrix& a, const Vector& b) {

@@ -24,13 +24,9 @@ class LuDecomposition {
   /// Solves `A X = B` column by column. Requires `!singular()`.
   Matrix solve(const Matrix& b) const;
 
-  /// Determinant of the factorized matrix.
-  double determinant() const;
-
  private:
   Matrix lu_;                   // packed L (unit diagonal) and U
   std::vector<std::size_t> p_;  // row permutation
-  int sign_ = 1;                // permutation parity for the determinant
   bool singular_ = false;
 };
 

@@ -134,11 +134,6 @@ Vector Matrix::col(std::size_t j) const {
   return out;
 }
 
-void Matrix::set_row(std::size_t i, const Vector& v) {
-  assert(i < rows_ && v.size() == cols_);
-  for (std::size_t j = 0; j < cols_; ++j) (*this)(i, j) = v[j];
-}
-
 void Matrix::set_col(std::size_t j, const Vector& v) {
   assert(j < cols_ && v.size() == rows_);
   for (std::size_t i = 0; i < rows_; ++i) (*this)(i, j) = v[i];
@@ -161,16 +156,6 @@ Matrix Matrix::hstack(const Matrix& right) const {
     for (std::size_t j = 0; j < right.cols_; ++j)
       out(i, cols_ + j) = right(i, j);
   }
-  return out;
-}
-
-Matrix Matrix::vstack(const Matrix& below) const {
-  assert(cols_ == below.cols_);
-  Matrix out(rows_ + below.rows_, cols_);
-  for (std::size_t i = 0; i < rows_; ++i)
-    for (std::size_t j = 0; j < cols_; ++j) out(i, j) = (*this)(i, j);
-  for (std::size_t i = 0; i < below.rows_; ++i)
-    for (std::size_t j = 0; j < cols_; ++j) out(rows_ + i, j) = below(i, j);
   return out;
 }
 

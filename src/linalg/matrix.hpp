@@ -73,9 +73,6 @@ class Matrix {
   /// Column `j` as a vector.
   Vector col(std::size_t j) const;
 
-  /// Overwrites row `i` with `v` (sizes must match).
-  void set_row(std::size_t i, const Vector& v);
-
   /// Overwrites column `j` with `v` (sizes must match).
   void set_col(std::size_t j, const Vector& v);
 
@@ -85,9 +82,6 @@ class Matrix {
 
   /// Horizontal concatenation `[this | right]` (row counts must match).
   Matrix hstack(const Matrix& right) const;
-
-  /// Vertical concatenation `[this; below]` (column counts must match).
-  Matrix vstack(const Matrix& below) const;
 
   /// Copy of this matrix with column `j` removed.
   Matrix without_col(std::size_t j) const;

@@ -81,17 +81,6 @@ SparseMatrix SparseMatrix::transposed() const {
   return out;
 }
 
-CscView SparseMatrix::csc() const {
-  const SparseMatrix t = transposed();
-  CscView view;
-  view.rows = rows_;
-  view.cols = cols_;
-  view.col_ptr = t.row_ptr_;
-  view.row_idx = t.col_idx_;
-  view.values = t.values_;
-  return view;
-}
-
 SparseMatrix SparseMatrix::weighted_gram(const Vector& w) const {
   assert(w.size() == rows_);
   TripletBuilder builder(cols_, cols_);

@@ -8,19 +8,6 @@
 
 namespace mtdgrid::linalg {
 
-/// Column-compressed (CSC) layout of a sparse matrix, the natural
-/// orientation for the sparse Cholesky factorization (columns are
-/// eliminated left to right). Produced by `SparseMatrix::csc()`; the
-/// vectors are owned, so the view outlives its source matrix.
-struct CscView {
-  std::size_t rows = 0;               ///< row count
-  std::size_t cols = 0;               ///< column count
-  std::vector<std::size_t> col_ptr;   ///< size cols+1; column j spans
-                                      ///< [col_ptr[j], col_ptr[j+1])
-  std::vector<std::size_t> row_idx;   ///< row index per stored entry
-  std::vector<double> values;         ///< value per stored entry
-};
-
 /// Compressed-sparse-row (CSR) real matrix with value semantics — the
 /// representation of the measurement matrix inside
 /// `estimation::StateEstimator` and of the mega-grid power-flow system
@@ -71,9 +58,6 @@ class SparseMatrix {
   /// Transpose as a new CSR matrix (equivalently: the CSC layout of this
   /// matrix re-labeled as CSR).
   SparseMatrix transposed() const;
-
-  /// Column-compressed layout of this matrix, for factorization.
-  CscView csc() const;
 
   /// The weighted Gram matrix `this^T diag(w) this` as a sparse n x n
   /// matrix (both triangles stored). `w` must have one entry per row.

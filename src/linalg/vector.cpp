@@ -79,13 +79,6 @@ Vector Vector::segment(std::size_t begin, std::size_t count) const {
   return out;
 }
 
-Vector Vector::concat(const Vector& tail) const {
-  Vector out(size() + tail.size());
-  for (std::size_t i = 0; i < size(); ++i) out[i] = data_[i];
-  for (std::size_t i = 0; i < tail.size(); ++i) out[size() + i] = tail[i];
-  return out;
-}
-
 Vector operator+(Vector lhs, const Vector& rhs) { return lhs += rhs; }
 Vector operator-(Vector lhs, const Vector& rhs) { return lhs -= rhs; }
 Vector operator*(Vector v, double s) { return v *= s; }

@@ -68,9 +68,6 @@ class Vector {
   /// Returns the slice `[begin, begin+count)` as a new vector.
   Vector segment(std::size_t begin, std::size_t count) const;
 
-  /// Appends all elements of `tail` to a copy of this vector.
-  Vector concat(const Vector& tail) const;
-
   /// Iterators so the vector works with range-for and <algorithm>.
   auto begin() { return data_.begin(); }
   auto end() { return data_.end(); }

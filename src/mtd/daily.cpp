@@ -97,6 +97,8 @@ DailyHourOutcome DailyEngine::advance_hour(stats::Rng& rng) {
   // selection's own.
   const SpaEvaluator from_now(sys_, x_now);
 
+  // The effectiveness each hour's key must reach: eta'(target_delta).
+  constexpr double kTargetEta = 0.9;
   MtdSelectionOptions sel = options_.selection;
   // Pin the achieved SPA at gamma_th: minimizing cost over the flat-cost
   // plateau leaves the angle under-determined, and a drifting angle would
@@ -143,7 +145,7 @@ DailyHourOutcome DailyEngine::advance_hour(stats::Rng& rng) {
     out.dispatch = std::move(res.dispatch);
     out.reactances = std::move(res.reactances);
 
-    if (er.eta[0] >= options_.target_eta) {
+    if (er.eta[0] >= kTargetEta) {
       done = true;
       // Warm-start the next hour one grid step below this one.
       start_idx_ = (gi > 0) ? gi - 1 : 0;

@@ -15,10 +15,9 @@ namespace mtdgrid::mtd {
 
 /// Options for the day-long MTD simulation (paper Section VII-C).
 struct DailySimulationOptions {
-  /// Target effectiveness: tune gamma_th per hour until
-  /// eta'(target_delta) >= target_eta (paper uses delta=0.9, eta=0.9).
+  /// Target effectiveness: each hour tunes gamma_th until
+  /// eta'(target_delta) >= 0.9 (the paper's delta = 0.9, eta = 0.9).
   double target_delta = 0.9;  ///< delta at which eta' is evaluated
-  double target_eta = 0.9;    ///< required eta'(target_delta)
   /// Candidate gamma_th grid searched in ascending order. Capped at 0.30
   /// rad: the achievable SPA ceiling varies by hour with the no-MTD
   /// operating point (cf. Fig. 11) and hovers around 0.25-0.32 for the

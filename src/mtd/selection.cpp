@@ -32,7 +32,10 @@ MtdSelectionResult select_mtd_perturbation(const grid::PowerSystem& sys,
     x0[k] = sys.branch(dfacts[k]).reactance;
   }
 
-  const double penalty = options.penalty_scale * base_opf_cost;
+  // Constraint-violation penalty relative to the base OPF cost; large
+  // enough that a feasible point always beats an infeasible one.
+  constexpr double kPenaltyScale = 1e4;
+  const double penalty = kPenaltyScale * base_opf_cost;
   constexpr double kInfeasiblePenalty = 1e15;
 
   // One SPA evaluator per call, shared by every worker: it is const and
@@ -112,21 +115,10 @@ MtdSelectionResult select_mtd_perturbation(const grid::PowerSystem& sys,
       starts.push_back(std::move(corners[i].x));
   }
 
-  // One Nelder-Mead run per start, in parallel; the ordered strict-'<'
-  // fold below picks the same winner the sequential start loop would.
-  std::vector<opf::DirectSearchResult> results(starts.size());
-  core::parallel_for(starts.size(), [&](std::size_t i) {
-    results[i] =
-        opf::nelder_mead_box(objective, lo, hi, starts[i], options.search);
-  });
-  opf::DirectSearchResult best;
-  bool first = true;
-  for (opf::DirectSearchResult& r : results) {
-    if (first || r.value < best.value) {
-      best = std::move(r);
-      first = false;
-    }
-  }
+  // Every start is in the portfolio already, so the multi-start draws
+  // nothing more from `rng`.
+  const opf::DirectSearchResult best = opf::multi_start_minimize(
+      objective, lo, hi, starts, 0, rng, options.search);
 
   MtdSelectionResult result;
   result.reactances = opf::expand_dfacts_reactances(sys, best.x);

@@ -13,17 +13,18 @@ namespace mtdgrid::mtd {
 /// problem (4)).
 struct MtdSelectionOptions {
   double gamma_threshold = 0.2;  ///< gamma_th constraint (radians)
-  int extra_starts = 4;          ///< random multi-starts (fmincon MultiStart)
+  /// Multi-starts beyond the nominal point and the warm start (fmincon
+  /// MultiStart): `extra_starts / 2` random interior points, the rest the
+  /// best-scoring corners of the D-FACTS box.
+  int extra_starts = 4;
   opf::DirectSearchOptions search;  ///< Nelder-Mead budget per start
-  /// Constraint-violation penalty relative to the base OPF cost; large
-  /// enough that a feasible point always beats an infeasible one.
-  double penalty_scale = 1e4;
   /// Tolerance on the SPA constraint when declaring feasibility.
   double constraint_tol = 2e-3;
   /// When true, penalize |gamma - gamma_th| instead of only the deficit,
   /// pinning the achieved SPA near the threshold. Used by the Fig. 6
-  /// sweeps, where each point must sit *at* a given gamma; the flat-cost
-  /// plateau would otherwise let the optimizer drift to a larger angle.
+  /// sweeps and the daily loop, where each point must sit *at* a given
+  /// gamma; the flat-cost plateau would otherwise let the optimizer drift
+  /// to a larger angle.
   bool pin_gamma = false;
   /// Optional incumbent D-FACTS reactances (one entry per D-FACTS branch,
   /// `dfacts_branches()` order) added to the start portfolio — e.g. the
@@ -54,8 +55,9 @@ struct MtdSelectionResult {
 /// Implementation: for fixed reactances the cost is the DC-OPF
 /// (`opf::solve_dc_opf`: the merit-order certificate, with the dispatch
 /// LP as its fallback); the SPA constraint is enforced with an
-/// exact-penalty term and the D-FACTS reactances are optimized by
-/// multi-start Nelder-Mead, mirroring the paper's fmincon + MultiStart
+/// exact-penalty term (weight 1e4 x the base cost) and
+/// the D-FACTS reactances are optimized by `opf::multi_start_minimize`
+/// over the start portfolio, mirroring the paper's fmincon + MultiStart
 /// approach. Each call builds one `SpaEvaluator` (the k x k gamma
 /// tables), which is const and thread-safe and shared by every pool
 /// worker. The reported `spa` comes from the same evaluator.

@@ -6,8 +6,6 @@
 #include <utility>
 
 #include "core/parallel.hpp"
-#include "grid/measurement.hpp"
-#include "grid/power_flow.hpp"
 #include "mtd/spa.hpp"
 #include "obs/scope.hpp"
 #include "opf/dc_opf.hpp"
@@ -48,9 +46,10 @@ void solve_zone(const grid::ZoneSystem& zs, std::size_t zone,
     return;
   }
 
+  // Each fallback round enlarges the zone's candidate set.
+  constexpr int kExtraStartsPerRound = 4;
   MtdSelectionOptions sel = options.selection;
-  sel.extra_starts +=
-      static_cast<int>(round) * options.enlarge_extra_starts;
+  sel.extra_starts += static_cast<int>(round) * kExtraStartsPerRound;
   stats::Rng rng = stats::make_stream(seed, round * num_zones + zone);
   out.result = select_mtd_perturbation(
       zsys, zsys.reactances(), base.cost, sel, rng);
@@ -86,9 +85,7 @@ ZoneSelectionResult select_mtd_zones(const grid::PowerSystem& sys,
   if (options.max_rounds == 0)
     throw std::invalid_argument("zone selection: max_rounds must be >= 1");
   const std::size_t num_zones = partition.num_zones;
-  const double full_th = options.full_gamma_threshold > 0.0
-                             ? options.full_gamma_threshold
-                             : options.selection.gamma_threshold;
+  const double full_th = options.selection.gamma_threshold;
 
   std::vector<grid::ZoneSystem> zones;
   zones.reserve(num_zones);
@@ -170,31 +167,6 @@ ZoneSelectionResult select_mtd_zones(const grid::PowerSystem& sys,
   }
   result.cost_increase =
       (result.opf_cost - result.base_opf_cost) / result.base_opf_cost;
-
-  if (options.check_detection) {
-    // Operating point: the stitched per-zone dispatches (each zone
-    // balances its own load, so the full network balances) through the
-    // power flow at the stitched reactances.
-    linalg::Vector generation(sys.num_generators());
-    for (std::size_t z = 0; z < num_zones; ++z) {
-      const std::vector<std::size_t>& gmap = zones[z].gen_map;
-      for (std::size_t g = 0; g < gmap.size(); ++g)
-        generation[gmap[g]] = result.zones[z].result.dispatch.generation_mw[g];
-    }
-    const grid::DcPowerFlowResult pf = grid::solve_dc_power_flow(
-        sys, result.reactances, grid::nodal_injections(sys, generation));
-    const linalg::Vector z_ref = grid::noiseless_measurements(
-        sys, result.reactances, pf.theta_reduced);
-    // Stream index num_zones * max_rounds is disjoint from every zone
-    // substream (those stay below it), keeping the detection draw
-    // independent of how many fallback rounds actually ran.
-    stats::Rng rng = stats::make_stream(seed, num_zones * options.max_rounds);
-    result.detection = evaluate_effectiveness(
-        grid::sparse_measurement_matrix(sys),
-        grid::sparse_measurement_matrix(sys, result.reactances), z_ref,
-        options.detection, rng);
-    result.has_detection = true;
-  }
   return result;
 }
 

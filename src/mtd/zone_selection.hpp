@@ -8,23 +8,21 @@
 #include "grid/compose.hpp"
 #include "grid/power_system.hpp"
 #include "linalg/vector.hpp"
-#include "mtd/effectiveness.hpp"
 #include "mtd/selection.hpp"
 
 namespace mtdgrid::mtd {
 
 /// Zone-decomposed D-FACTS selection for composed mega-grids (ROADMAP
-/// "Synthetic mega-grids"). Whole-grid `select_mtd_perturbation` is
-/// intractable past a few hundred buses — every candidate costs a dense
-/// SPA update and an OPF certificate on the full network — so the
-/// selection is decomposed along the `grid::ZonePartition`: each zone is
-/// lifted out with `grid::extract_zone`, solved as a standalone selection
-/// problem, and the per-zone perturbations are stitched back into one
-/// full-length reactance vector. The stitched perturbation is then
-/// re-checked on the FULL model (the zones are coupled through the tie
-/// lines, which per-zone solves cannot see) and offending zones are
-/// re-solved with enlarged candidate sets when the coupled SPA falls
-/// short.
+/// "Synthetic mega-grids"). Whole-grid `select_mtd_perturbation` slows
+/// with the network — every candidate costs an OPF certificate (a sparse
+/// power flow) and a gamma update on the full network — so the selection
+/// is decomposed along the `grid::ZonePartition`: each zone is lifted out
+/// with `grid::extract_zone`, solved as a standalone selection problem,
+/// and the per-zone perturbations are stitched back into one full-length
+/// reactance vector. The stitched perturbation is then re-checked on the
+/// FULL model (the zones are coupled through the tie lines, which
+/// per-zone solves cannot see) and offending zones are re-solved with
+/// enlarged candidate sets when the coupled SPA falls short.
 
 /// Options for `select_mtd_zones`.
 struct ZoneSelectionOptions {
@@ -32,30 +30,14 @@ struct ZoneSelectionOptions {
   /// per-zone solve builds its own evaluator pair, since every zone is a
   /// different system.
   MtdSelectionOptions selection;
-  /// SPA threshold the stitched perturbation must meet on the full
-  /// model; 0 (the default) reuses `selection.gamma_threshold`. The
-  /// comparison allows `selection.constraint_tol` slack, mirroring the
-  /// per-zone feasibility test.
-  double full_gamma_threshold = 0.0;
   /// Total selection rounds: 1 disables the fallback, each further round
-  /// re-solves the offending zones with `enlarge_extra_starts` more
-  /// multi-starts before the full model is re-checked.
+  /// re-solves the offending zones with 4 more multi-starts than the
+  /// round before (round r runs with `selection.extra_starts + 4 r`),
+  /// then re-checks the full model. The stitched perturbation must meet
+  /// `selection.gamma_threshold` on the full model, with
+  /// `selection.constraint_tol` slack, mirroring the per-zone
+  /// feasibility test.
   std::size_t max_rounds = 2;
-  /// Extra multi-starts added to an offending zone's candidate set per
-  /// fallback round (round r runs with `selection.extra_starts +
-  /// r * enlarge_extra_starts`).
-  int enlarge_extra_starts = 4;
-  /// Also evaluate the stitched perturbation's attack-detection
-  /// effectiveness on the full model (fills
-  /// `ZoneSelectionResult::detection`): attacks are crafted from the
-  /// attacker's nominal full-network matrix, the defender operates at
-  /// the stitched reactances, and the operating point comes from the
-  /// stitched per-zone dispatches through the sparse power flow. Off by
-  /// default — the dense measurement matrices make this the most
-  /// expensive step at mega-grid scale.
-  bool check_detection = false;
-  /// Effectiveness evaluation options used when `check_detection`.
-  EffectivenessOptions detection;
 };
 
 /// One zone's slice of the decomposed selection.
@@ -87,10 +69,6 @@ struct ZoneSelectionResult {
   double opf_cost = 0.0;       ///< sum of per-zone post-MTD OPF costs
   double base_opf_cost = 0.0;  ///< sum of per-zone no-MTD OPF costs
   double cost_increase = 0.0;  ///< (opf_cost - base) / base, paper eq. (3)
-  /// Full-model effectiveness of the stitched perturbation (only when
-  /// `ZoneSelectionOptions::check_detection`).
-  bool has_detection = false;
-  EffectivenessResult detection;  ///< valid iff `has_detection`
 };
 
 /// Runs the zone-decomposed selection over `partition` (typically

@@ -11,6 +11,9 @@ namespace mtdgrid::opf {
 
 namespace {
 
+// Simplex-size convergence threshold, in x and in relative f.
+constexpr double kTolerance = 1e-8;
+
 linalg::Vector clamp_to_box(linalg::Vector x, const linalg::Vector& lo,
                             const linalg::Vector& hi) {
   for (std::size_t i = 0; i < x.size(); ++i)
@@ -65,8 +68,8 @@ DirectSearchResult nelder_mead_box(
       max_spread = std::max(
           max_spread, linalg::max_abs_diff(simplex[0].x, simplex[i].x));
     const double f_spread = std::abs(simplex[n].f - simplex[0].f);
-    if (max_spread < options.tolerance &&
-        f_spread < options.tolerance * (1.0 + std::abs(simplex[0].f)))
+    if (max_spread < kTolerance &&
+        f_spread < kTolerance * (1.0 + std::abs(simplex[0].f)))
       break;
 
     // Centroid of all but the worst vertex.

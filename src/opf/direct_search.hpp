@@ -12,7 +12,6 @@ namespace mtdgrid::opf {
 struct DirectSearchOptions {
   int max_evaluations = 4000;   ///< budget of objective evaluations
   double initial_step = 0.25;   ///< simplex edge, relative to the box width
-  double tolerance = 1e-8;      ///< simplex-size convergence threshold
 };
 
 /// Result of a direct-search minimization.
@@ -24,7 +23,8 @@ struct DirectSearchResult {
 
 /// Nelder-Mead simplex search restricted to the box [lo, hi] (iterates are
 /// projected onto the box). `x0` is the start point; it is clamped into the
-/// box. Suitable for the low-dimensional (|L_D| <= ~10) reactance searches
+/// box. Stops when the evaluation budget is spent or the simplex has
+/// collapsed to 1e-8 in both x and (relative) objective value. Suitable for the low-dimensional (|L_D| <= ~10) reactance searches
 /// this library performs; the objective may be non-smooth (it embeds an LP).
 DirectSearchResult nelder_mead_box(
     const std::function<double(const linalg::Vector&)>& objective,

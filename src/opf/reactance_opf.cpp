@@ -1,8 +1,6 @@
 #include "opf/reactance_opf.hpp"
 
 #include <cassert>
-#include <limits>
-#include <vector>
 
 namespace mtdgrid::opf {
 
@@ -45,13 +43,8 @@ ReactanceOpfResult solve_reactance_opf(const grid::PowerSystem& sys,
     return d.feasible ? d.cost : kInfeasiblePenalty;
   };
 
-  std::vector<linalg::Vector> starts{x0};
-  if (options.warm_start.size() == dfacts.size() &&
-      options.warm_start.size() > 0)
-    starts.push_back(options.warm_start);
-
   const DirectSearchResult best = multi_start_minimize(
-      objective, lo, hi, starts, options.extra_starts, rng, options.search);
+      objective, lo, hi, x0, options.extra_starts, rng, options.search);
 
   result.reactances = expand_dfacts_reactances(sys, best.x);
   result.dispatch = solve_dc_opf(sys, result.reactances);

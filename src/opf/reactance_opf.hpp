@@ -12,10 +12,6 @@ namespace mtdgrid::opf {
 struct ReactanceOpfOptions {
   int extra_starts = 4;          ///< random multi-starts beyond the nominal x
   DirectSearchOptions search;    ///< inner Nelder-Mead budget
-  /// Optional incumbent D-FACTS reactances (one entry per D-FACTS branch,
-  /// `dfacts_branches()` order) used as an extra warm start — e.g. the
-  /// previous period's solution when tracking a load trace. Empty = none.
-  linalg::Vector warm_start;
 };
 
 /// Result of the reactance-augmented OPF.

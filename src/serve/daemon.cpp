@@ -602,8 +602,7 @@ std::string MtdDaemon::reply_campaign(const Request& req) {
   // The engine never mutates the nominal reactances (ticks only move the
   // loads), so its system gives the zero-knowledge key.
   const attack::HourScoring scoring{options_.daily.effectiveness,
-                                    options_.daily.target_delta, probe_root_,
-                                    {}};
+                                    options_.daily.target_delta, probe_root_};
 
   Json reply;
   reply.set("ok", Json(true));

@@ -15,6 +15,7 @@
 
 #include "grid/cases.hpp"
 #include "grid/measurement.hpp"
+#include "grid/power_flow.hpp"
 #include "mtd/spa.hpp"
 #include "opf/dc_opf.hpp"
 #include "serve/daemon.hpp"
@@ -133,6 +134,39 @@ TEST(AdaptiveAttackTest, EstimateGoesStaleAcrossRekeyingBoundary) {
   const double gamma_to_b = mtd::spa(h_est, key_b.h);
   EXPECT_LT(gamma_to_a, 5e-3);
   EXPECT_GT(gamma_to_b, 10.0 * std::max(gamma_to_a, 1e-9));
+}
+
+TEST(AdaptiveAttackTest, BranchBelowOneMegawattKeepsNominalReactance) {
+  // x = base_mva * dtheta / f degenerates as the flow vanishes, so a
+  // D-FACTS branch carrying under 1 MW keeps its nominal reactance and is
+  // not counted as identified; just above 1 MW it is identified exactly.
+  const grid::PowerSystem sys = grid::make_case14();
+  const KeyedPoint key = keyed_point(sys, 1.25);
+  const std::size_t l = sys.dfacts_branches().front();
+  const grid::Branch& br = sys.branch(l);
+  ASSERT_NE(key.x[l], br.reactance);
+
+  // Noiseless probes at a state whose flow on branch l is `flow_mw`: move
+  // one non-slack endpoint's angle; every other flow stays consistent
+  // with the keyed reactances.
+  const auto estimate_at = [&](double flow_mw) {
+    const opf::DispatchResult d = opf::solve_dc_opf(sys, key.x);
+    linalg::Vector theta = d.theta_reduced;
+    const double dtheta = flow_mw * key.x[l] / sys.base_mva();
+    if (br.to != 0)
+      theta[br.to - 1] = (br.from == 0 ? 0.0 : theta[br.from - 1]) - dtheta;
+    else
+      theta[br.from - 1] = dtheta;
+    EXPECT_NEAR(grid::branch_flows(sys, key.x, theta)[l], flow_mw, 1e-9);
+    return estimate_key(sys,
+                        {grid::noiseless_measurements(sys, key.x, theta)});
+  };
+
+  const KeyEstimate below = estimate_at(0.9);
+  const KeyEstimate above = estimate_at(1.1);
+  EXPECT_EQ(below.reactances[l], br.reactance);
+  EXPECT_NEAR(above.reactances[l], key.x[l], 1e-6 * key.x[l]);
+  EXPECT_EQ(below.identified_branches + 1, above.identified_branches);
 }
 
 TEST(AdaptiveAttackTest, ValidatesArguments) {

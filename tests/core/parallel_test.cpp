@@ -153,28 +153,6 @@ TEST(ParallelForWithStateTest, OneStatePerWorkerCoversAllTasks) {
   EXPECT_LE(states_built.load(), 4);
 }
 
-TEST(ParallelReduceOrderedTest, FloatingPointFoldIsThreadCountInvariant) {
-  // A sum of values spanning ~16 orders of magnitude is maximally
-  // order-sensitive in floating point; the ordered reduction must still be
-  // bit-identical across pool sizes.
-  const std::size_t n = 500;
-  const auto map = [](std::size_t i) {
-    stats::Rng stream = stats::make_stream(7, i);
-    return stream.uniform() * std::pow(10.0, (i % 32) - 16.0);
-  };
-  const auto fold = [](double acc, double v, std::size_t) { return acc + v; };
-
-  ThreadPool pool1(1), pool2(2), pool8(8);
-  const double s1 =
-      parallel_reduce_ordered<double>(n, 0.0, map, fold, &pool1);
-  const double s2 =
-      parallel_reduce_ordered<double>(n, 0.0, map, fold, &pool2);
-  const double s8 =
-      parallel_reduce_ordered<double>(n, 0.0, map, fold, &pool8);
-  EXPECT_EQ(s1, s2);
-  EXPECT_EQ(s1, s8);
-}
-
 TEST(StreamSeedTest, PureFunctionOfRootAndIndex) {
   EXPECT_EQ(stats::stream_seed(42, 7), stats::stream_seed(42, 7));
   EXPECT_NE(stats::stream_seed(42, 7), stats::stream_seed(42, 8));

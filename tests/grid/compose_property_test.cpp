@@ -276,9 +276,6 @@ TEST(ComposePropertyTest, OptionValidation) {
   opt = {};
   opt.boundary_buses = {base.num_buses()};
   EXPECT_THROW(grid::compose_cases(base, opt), std::invalid_argument);
-  opt = {};
-  opt.tie_dfacts_min = 1.5;  // min > max
-  EXPECT_THROW(grid::compose_cases(base, opt), std::invalid_argument);
 
   const grid::ComposeResult two = grid::compose_cases(base, {});
   EXPECT_THROW(grid::partition_into_copies(two.system, 3),

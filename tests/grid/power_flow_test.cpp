@@ -40,6 +40,16 @@ TEST(PowerFlowTest, RejectsUnbalancedInjections) {
       std::invalid_argument);
 }
 
+TEST(PowerFlowTest, BalanceToleranceIsOnePpmOfTheInjections) {
+  // The allowed imbalance is 1e-6 * max(1, ||p||_1) = 1e-4 MW here.
+  const PowerSystem sys = make_two_bus();
+  EXPECT_NO_THROW(solve_dc_power_flow(sys, sys.reactances(),
+                                      linalg::Vector{50.0, -50.0 + 0.5e-4}));
+  EXPECT_THROW(solve_dc_power_flow(sys, sys.reactances(),
+                                   linalg::Vector{50.0, -50.0 + 2e-4}),
+               std::invalid_argument);
+}
+
 TEST(PowerFlowTest, RejectsWrongLengthInjections) {
   const PowerSystem sys = make_two_bus();
   EXPECT_THROW(

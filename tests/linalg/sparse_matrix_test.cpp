@@ -137,22 +137,6 @@ TEST(SparseMatrixTest, TransposedMatchesDenseTranspose) {
   EXPECT_EQ(max_abs_diff(st.to_dense(), d.transposed()), 0.0);
 }
 
-TEST(SparseMatrixTest, CscViewMatchesColumnScan) {
-  stats::Rng rng(17);
-  const Matrix d = random_sparse_dense(9, 5, rng);
-  const SparseMatrix s = SparseMatrix::from_dense(d);
-  const CscView csc = s.csc();
-  EXPECT_EQ(csc.rows, 9u);
-  EXPECT_EQ(csc.cols, 5u);
-  ASSERT_EQ(csc.col_ptr.size(), 6u);
-  EXPECT_EQ(csc.col_ptr.back(), s.nnz());
-  Matrix rebuilt(9, 5);
-  for (std::size_t j = 0; j < 5; ++j)
-    for (std::size_t k = csc.col_ptr[j]; k < csc.col_ptr[j + 1]; ++k)
-      rebuilt(csc.row_idx[k], j) = csc.values[k];
-  EXPECT_EQ(max_abs_diff(rebuilt, d), 0.0);
-}
-
 TEST(SparseMatrixTest, MaxAbsMatchesDense) {
   stats::Rng rng(18);
   const Matrix d = random_sparse_dense(11, 11, rng);

@@ -83,14 +83,6 @@ TEST(VectorTest, SegmentExtractsSlice) {
   EXPECT_DOUBLE_EQ(s[2], 3.0);
 }
 
-TEST(VectorTest, ConcatJoins) {
-  Vector a{1.0, 2.0};
-  Vector b{3.0};
-  Vector c = a.concat(b);
-  ASSERT_EQ(c.size(), 3u);
-  EXPECT_DOUBLE_EQ(c[2], 3.0);
-}
-
 TEST(VectorTest, MaxAbsDiff) {
   Vector a{1.0, 2.0, 3.0};
   Vector b{1.1, 1.5, 3.0};

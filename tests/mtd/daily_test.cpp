@@ -37,6 +37,26 @@ TEST(DailyTest, ProducesCompleteFeasibleDay) {
   }
 }
 
+TEST(DailyTest, EachHourStopsOnceEtaReachesNineTenths) {
+  // The grid search stops at the first threshold whose eta'(0.9) reaches
+  // 0.9, so only an hour keyed at the grid's last entry may fall short.
+  // On this day eight hours stop at 0.15, six of them with eta' in
+  // [0.9, 0.95): a lower or a higher target moves that count.
+  const grid::PowerSystem sys = grid::make_case_ieee14();
+  const DailySimulationOptions opt = fast_options();
+  stats::Rng rng(1);
+  const auto records = run_daily_simulation(
+      sys, grid::DailyLoadTrace::nyiso_winter_weekday(), opt, rng);
+  int stopped_early = 0;
+  for (const HourlyRecord& r : records) {
+    ASSERT_TRUE(r.feasible) << "hour " << r.hour;
+    if (r.gamma_threshold == opt.gamma_grid.back()) continue;
+    ++stopped_early;
+    EXPECT_GE(r.eta_at_target, 0.9) << "hour " << r.hour;
+  }
+  EXPECT_EQ(stopped_early, 8);
+}
+
 TEST(DailyTest, NaturalReactanceDriftIsSmall) {
   // gamma(H_t, H_t') must be nearly zero across the day (paper Fig. 11):
   // the warm-started hourly OPF tracks the slowly varying load.

@@ -13,6 +13,7 @@
 #include "mtd/spa.hpp"
 #include "obs/scope.hpp"
 #include "opf/dc_opf.hpp"
+#include "opf/reactance_opf.hpp"
 
 namespace mtdgrid::mtd {
 namespace {
@@ -177,6 +178,31 @@ TEST(SelectionTest, WarmStartFromIncumbentIsAccepted) {
       f.sys, f.x_attacker, f.base_cost, warm, rng);
   EXPECT_TRUE(second.feasible);
   EXPECT_GE(second.spa, 0.2 - 2e-3);
+}
+
+TEST(SelectionTest, PinnedSelectionReproducesRecordedKeyCost) {
+  // A characterization of the search's fixed constants: the penalty
+  // weight (1e4 x the base cost) and Nelder-Mead's 1e-8 stopping rule.
+  // From the reactance-OPF baseline, raising the SPA costs money, so the
+  // penalty weight decides where the pinned search settles. Each of a
+  // 1e3 or 1e5 weight, or a 1e-6 or 1e-10 stopping rule, lands on a key
+  // costing 12-13% over the baseline instead of this one's 2.4%.
+  const grid::PowerSystem sys = grid::make_case_ieee14();
+  stats::Rng base_rng(5);
+  const opf::ReactanceOpfResult base = opf::solve_reactance_opf(sys, base_rng);
+  ASSERT_TRUE(base.feasible);
+  MtdSelectionOptions opt;
+  opt.gamma_threshold = 0.25;
+  opt.extra_starts = 3;
+  opt.search.max_evaluations = 800;
+  opt.pin_gamma = true;
+  stats::Rng rng(1);
+  const MtdSelectionResult r = select_mtd_perturbation(
+      sys, base.reactances, base.dispatch.cost, opt, rng);
+  EXPECT_TRUE(r.feasible);
+  EXPECT_NEAR(r.spa, 0.25, 1e-9);
+  EXPECT_NEAR(r.opf_cost, 5862.6229315601913, 1e-6 * 5862.6229315601913);
+  EXPECT_NEAR(r.cost_increase, 0.023891961379105747, 1e-6);
 }
 
 TEST(SelectionTest, GramFactorizationCountIsThreadCountInvariant) {

@@ -36,16 +36,21 @@ mtd::ZoneSelectionOptions small_budget_options() {
   return opt;
 }
 
-// Standalone selection on one extracted zone, seeded exactly like
-// round 0 of the decomposed run.
+// Standalone selection on one extracted zone, seeded exactly like round
+// `round` of a decomposed run over `num_zones` zones: substream
+// round * num_zones + z, and 4 more multi-starts per fallback round.
 mtd::MtdSelectionResult standalone(const grid::ZoneSystem& zone,
                                    std::size_t z,
-                                   const mtd::ZoneSelectionOptions& opt) {
+                                   const mtd::ZoneSelectionOptions& opt,
+                                   std::size_t round = 0,
+                                   std::size_t num_zones = 1) {
   const opf::DispatchResult base = opf::solve_dc_opf(zone.system);
   EXPECT_TRUE(base.feasible);
-  stats::Rng rng = stats::make_stream(kSeed, z);
+  mtd::MtdSelectionOptions sel = opt.selection;
+  sel.extra_starts += 4 * static_cast<int>(round);
+  stats::Rng rng = stats::make_stream(kSeed, round * num_zones + z);
   return mtd::select_mtd_perturbation(zone.system, zone.system.reactances(),
-                                      base.cost, opt.selection, rng);
+                                      base.cost, sel, rng);
 }
 
 void expect_results_equal(const mtd::MtdSelectionResult& a,
@@ -95,6 +100,39 @@ TEST(ZoneSelectionTest, RoundZeroMatchesStandaloneSelectionCase57x2) {
     expect_results_equal(r.zones[z].result,
                          standalone(grid::extract_zone(sys, p, z), z, opt));
   }
+}
+
+TEST(ZoneSelectionTest, FallbackRoundMatchesStandaloneWithFourMoreStarts) {
+  // An unreachable threshold leaves both zones infeasible after round 0,
+  // so round 1 re-solves both, each with 4 more multi-starts on its own
+  // round-1 substream. Every candidate costs one power flow, so the
+  // power-flow count also pins how many starts each round searched.
+  const grid::PowerSystem sys = io::load_case("case14x2");
+  const grid::ZonePartition p = grid::partition_into_copies(sys, 2);
+  mtd::ZoneSelectionOptions opt = small_budget_options();
+  opt.selection.gamma_threshold = 1.0;
+  opt.max_rounds = 2;
+
+  obs::MetricsRegistry decomposed;
+  mtd::ZoneSelectionResult r;
+  {
+    obs::ScopedRegistry scope(&decomposed);
+    r = mtd::select_mtd_zones(sys, p, opt, kSeed);
+  }
+  EXPECT_FALSE(r.feasible);
+  EXPECT_EQ(r.boundary_rechecks, 2u);
+  ASSERT_EQ(r.zones.size(), 2u);
+  obs::MetricsRegistry standalone_runs;
+  obs::ScopedRegistry scope(&standalone_runs);
+  for (std::size_t z = 0; z < 2; ++z) {
+    SCOPED_TRACE("zone " + std::to_string(z));
+    const grid::ZoneSystem zone = grid::extract_zone(sys, p, z);
+    standalone(zone, z, opt);
+    EXPECT_EQ(r.zones[z].rounds, 2u);
+    expect_results_equal(r.zones[z].result, standalone(zone, z, opt, 1, 2));
+  }
+  EXPECT_EQ(decomposed.value(obs::Work::kPowerFlowSolves),
+            standalone_runs.value(obs::Work::kPowerFlowSolves));
 }
 
 TEST(ZoneSelectionTest, DecoupledTiesReproducePerCopySpa) {

@@ -223,7 +223,7 @@ TEST(ServeDaemonCampaignTest, CampaignRepliesComeFromScoreHour) {
   const grid::PowerSystem sys = grid::make_case14();  // nominal reactances
   const attack::HourScoring scoring{
       options.daily.effectiveness, options.daily.target_delta,
-      stats::stream_seed(options.seed, attack::kProbeOracleTag), {}};
+      stats::stream_seed(options.seed, attack::kProbeOracleTag)};
   const std::uint64_t request_root = stats::stream_seed(
       stats::stream_seed(options.seed, attack::kCampaignStreamTag), 6);
 

@@ -9,6 +9,7 @@
 #include "obs/metrics.hpp"
 #include "obs/scope.hpp"
 #include "opf/dc_opf.hpp"
+#include "serve/daemon.hpp"
 #include "serve/json.hpp"
 #include "stats/rng.hpp"
 
@@ -269,20 +270,9 @@ CampaignFrontier run_campaign(const grid::PowerSystem& sys,
 
 CampaignFrontier run_campaign(const std::string& case_name,
                               const CampaignOptions& options) {
-  grid::PowerSystem sys = io::load_case(case_name);
-  // The serving daemon's default trace (serve::default_daemon_trace):
-  // the NYISO winter-weekday shape scaled from its 14-bus fit to this
-  // case's nominal total load, so a campaign and a daemon on the same
-  // case face the same defender.
-  const grid::DailyLoadTrace base =
-      grid::DailyLoadTrace::nyiso_winter_weekday();
-  constexpr double kCase14NominalMw = 259.0;
-  const double scale = sys.total_load_mw() / kCase14NominalMw;
-  std::vector<double> totals(base.size());
-  for (std::size_t h = 0; h < base.size(); ++h)
-    totals[h] = base.total_mw(h) * scale;
-  CampaignFrontier frontier = run_campaign(
-      sys, grid::DailyLoadTrace(std::move(totals)), options);
+  const grid::PowerSystem sys = io::load_case(case_name);
+  CampaignFrontier frontier =
+      run_campaign(sys, serve::default_daemon_trace(sys), options);
   frontier.case_name = case_name;  // report the registry name
   return frontier;
 }

@@ -180,9 +180,8 @@ CampaignFrontier run_campaign(const grid::PowerSystem& sys,
                               const CampaignOptions& options);
 
 /// Convenience: loads `case_name` through `io::load_case` (registry
-/// names, composed `<case>xN` grids, or a `.m` path) and replays the
-/// NYISO winter-weekday shape scaled to the case's nominal total load —
-/// the serving daemon's default trace, so a campaign and a daemon on the
+/// names, composed `<case>xN` grids, or a `.m` path) and replays
+/// `serve::default_daemon_trace` of it, so a campaign and a daemon on the
 /// same case see the same defender.
 CampaignFrontier run_campaign(const std::string& case_name,
                               const CampaignOptions& options);

@@ -33,14 +33,7 @@ DailyEngine::DailyEngine(grid::PowerSystem sys, grid::DailyLoadTrace trace,
   // gamma(H_t, H_t') nearly zero in Fig. 11: a randomized multi-start
   // would hop across the flat-cost plateau in x and hand the attacker's
   // stale knowledge a spurious MTD effect.
-  const linalg::Vector lo_full = sys_.reactance_lower_limits();
-  const linalg::Vector hi_full = sys_.reactance_upper_limits();
-  linalg::Vector lo(dfacts_.size()), hi(dfacts_.size()), x_warm(dfacts_.size());
-  for (std::size_t k = 0; k < dfacts_.size(); ++k) {
-    lo[k] = lo_full[dfacts_[k]];
-    hi[k] = hi_full[dfacts_[k]];
-    x_warm[k] = sys_.branch(dfacts_[k]).reactance;
-  }
+  auto [lo, hi, x_warm] = opf::dfacts_box(sys_);
 
   base_.resize(hours);
   obs::Span span("mtd.baseline", "mtd");

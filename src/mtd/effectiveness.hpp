@@ -63,8 +63,8 @@ EffectivenessResult evaluate_effectiveness(
 
 /// Batched effectiveness evaluation: one attacker matrix against a whole
 /// set of candidate post-MTD matrices (keyspace audits, gamma sweeps,
-/// selection shortlists). The attack sample — and with it the attacker-side
-/// factorization inside `sample_attacks` — is drawn ONCE and shared by
+/// selection shortlists). The attack sample (`sample_attacks_seeded`, one
+/// sparse product a = H_attacker c per attack) is drawn ONCE and shared by
 /// every candidate, so the per-candidate work drops to the estimator build
 /// plus the detection probabilities, and every candidate is scored against
 /// the *same* attacks — and, in Monte-Carlo mode, the same noise streams —

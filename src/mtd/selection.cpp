@@ -23,14 +23,7 @@ MtdSelectionResult select_mtd_perturbation(const grid::PowerSystem& sys,
   if (dfacts.empty())
     throw std::invalid_argument("MTD selection: system has no D-FACTS");
 
-  const linalg::Vector lo_full = sys.reactance_lower_limits();
-  const linalg::Vector hi_full = sys.reactance_upper_limits();
-  linalg::Vector lo(dfacts.size()), hi(dfacts.size()), x0(dfacts.size());
-  for (std::size_t k = 0; k < dfacts.size(); ++k) {
-    lo[k] = lo_full[dfacts[k]];
-    hi[k] = hi_full[dfacts[k]];
-    x0[k] = sys.branch(dfacts[k]).reactance;
-  }
+  const auto [lo, hi, x0] = opf::dfacts_box(sys);
 
   // Constraint-violation penalty relative to the base OPF cost; large
   // enough that a feasible point always beats an infeasible one.

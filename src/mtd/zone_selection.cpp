@@ -76,8 +76,7 @@ linalg::Vector stitch(const grid::PowerSystem& sys,
 ZoneSelectionResult select_mtd_zones(const grid::PowerSystem& sys,
                                      const grid::ZonePartition& partition,
                                      const ZoneSelectionOptions& options,
-                                     std::uint64_t seed,
-                                     core::ThreadPool* pool) {
+                                     std::uint64_t seed) {
   if (partition.num_zones == 0 ||
       partition.bus_zone.size() != sys.num_buses())
     throw std::invalid_argument(
@@ -101,13 +100,9 @@ ZoneSelectionResult select_mtd_zones(const grid::PowerSystem& sys,
   result.zones.resize(num_zones);
 
   // Round 0: every zone, in parallel, index-ordered slots.
-  core::parallel_for(
-      num_zones,
-      [&](std::size_t z) {
-        solve_zone(zones[z], z, 0, num_zones, options, seed,
-                   result.zones[z]);
-      },
-      pool);
+  core::parallel_for(num_zones, [&](std::size_t z) {
+    solve_zone(zones[z], z, 0, num_zones, options, seed, result.zones[z]);
+  });
 
   const auto full_check = [&](const linalg::Vector& x) {
     obs::add(obs::Work::kBoundaryRechecks);
@@ -147,14 +142,11 @@ ZoneSelectionResult select_mtd_zones(const grid::PowerSystem& sys,
           worst = z;
       offenders.push_back(worst);
     }
-    core::parallel_for(
-        offenders.size(),
-        [&](std::size_t i) {
-          const std::size_t z = offenders[i];
-          solve_zone(zones[z], z, round, num_zones, options, seed,
-                     result.zones[z]);
-        },
-        pool);
+    core::parallel_for(offenders.size(), [&](std::size_t i) {
+      const std::size_t z = offenders[i];
+      solve_zone(zones[z], z, round, num_zones, options, seed,
+                 result.zones[z]);
+    });
     result.reactances = stitch(sys, zones, result.zones);
     result.full_spa = full_check(result.reactances);
     ok = zones_feasible() && result.full_spa >= full_th - tol;

@@ -4,7 +4,6 @@
 #include <cstdint>
 #include <vector>
 
-#include "core/thread_pool.hpp"
 #include "grid/compose.hpp"
 #include "grid/power_system.hpp"
 #include "linalg/vector.hpp"
@@ -81,9 +80,9 @@ struct ZoneSelectionResult {
 /// round 0 of zone z is bit-identical to a standalone
 /// `select_mtd_perturbation` on `grid::extract_zone(sys, partition, z)`
 /// seeded with `stats::make_stream(seed, z)` (the conformance tests pin
-/// both). Zones are solved across `pool` (default: the global pool), one
-/// zone per task; each per-zone solve's inner parallel regions serialize
-/// under the nested-region rule.
+/// both). Zones are solved across the global pool, one zone per task;
+/// each per-zone solve's inner parallel regions serialize under the
+/// nested-region rule.
 ///
 /// Records `obs::Work::kZonesSelected` per per-zone solve and
 /// `obs::Work::kBoundaryRechecks` per full-model SPA check (both
@@ -95,7 +94,6 @@ struct ZoneSelectionResult {
 ZoneSelectionResult select_mtd_zones(const grid::PowerSystem& sys,
                                      const grid::ZonePartition& partition,
                                      const ZoneSelectionOptions& options,
-                                     std::uint64_t seed,
-                                     core::ThreadPool* pool = nullptr);
+                                     std::uint64_t seed);
 
 }  // namespace mtdgrid::mtd

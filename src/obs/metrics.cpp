@@ -54,54 +54,6 @@ const WorkInfo& work_info(Work w) {
   return kWorkInfo[static_cast<std::size_t>(w)];
 }
 
-Counter& MetricsRegistry::counter(const std::string& name,
-                                  const std::string& help) {
-  std::lock_guard<std::mutex> lock(mutex_);
-  for (Counter& c : counters_) {
-    if (c.name() == name) return c;
-  }
-  return counters_.emplace_back(name, help);
-}
-
-Gauge& MetricsRegistry::gauge(const std::string& name,
-                              const std::string& help) {
-  std::lock_guard<std::mutex> lock(mutex_);
-  for (Gauge& g : gauges_) {
-    if (g.name() == name) return g;
-  }
-  return gauges_.emplace_back(name, help);
-}
-
-Histogram& MetricsRegistry::histogram(const std::string& name,
-                                      const std::string& help,
-                                      std::vector<double> bounds) {
-  std::lock_guard<std::mutex> lock(mutex_);
-  for (Histogram& h : histograms_) {
-    if (h.name() == name) return h;
-  }
-  return histograms_.emplace_back(name, help, std::move(bounds));
-}
-
-MetricsSnapshot MetricsRegistry::snapshot() const {
-  MetricsSnapshot out;
-  out.work = work_snapshot();
-  std::lock_guard<std::mutex> lock(mutex_);
-  out.counters.reserve(counters_.size());
-  for (const Counter& c : counters_) {
-    out.counters.push_back({c.name(), c.help(), c.value()});
-  }
-  out.gauges.reserve(gauges_.size());
-  for (const Gauge& g : gauges_) {
-    out.gauges.push_back({g.name(), g.help(), g.value()});
-  }
-  out.histograms.reserve(histograms_.size());
-  for (const Histogram& h : histograms_) {
-    out.histograms.push_back({h.name(), h.help(), h.bounds(),
-                              h.bucket_counts(), h.count(), h.sum()});
-  }
-  return out;
-}
-
 MetricsRegistry& MetricsRegistry::global() {
   static MetricsRegistry registry;
   return registry;

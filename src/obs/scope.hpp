@@ -98,35 +98,6 @@ class ScopedRegistry {
 #endif
 };
 
-/// RAII: routes spans closed on this thread to `capture` (keeping the
-/// current registry), restoring on destruction.
-class ScopedCapture {
- public:
-  /// Routes `obs::Span` completions on this thread to `capture`.
-  explicit ScopedCapture(SpanCapture* capture) noexcept
-#ifndef MTDGRID_OBS_NOOP
-      : saved_(thread_context().capture) {
-    thread_context().capture = capture;
-  }
-#else
-  {
-    (void)capture;
-  }
-#endif
-  ~ScopedCapture() {
-#ifndef MTDGRID_OBS_NOOP
-    thread_context().capture = saved_;
-#endif
-  }
-  ScopedCapture(const ScopedCapture&) = delete;
-  ScopedCapture& operator=(const ScopedCapture&) = delete;
-
- private:
-#ifndef MTDGRID_OBS_NOOP
-  SpanCapture* saved_ = nullptr;
-#endif
-};
-
 /// RAII wall-clock span. Construction costs one thread-local read plus
 /// one relaxed load when no sink is active (and nothing at all under
 /// MTDGRID_OBS_NOOP); the clock is only read when a `SpanCapture` is

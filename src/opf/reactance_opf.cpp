@@ -13,6 +13,20 @@ linalg::Vector expand_dfacts_reactances(const grid::PowerSystem& sys,
   return x;
 }
 
+DfactsBox dfacts_box(const grid::PowerSystem& sys) {
+  const auto dfacts = sys.dfacts_branches();
+  const linalg::Vector lo_full = sys.reactance_lower_limits();
+  const linalg::Vector hi_full = sys.reactance_upper_limits();
+  DfactsBox box{linalg::Vector(dfacts.size()), linalg::Vector(dfacts.size()),
+                linalg::Vector(dfacts.size())};
+  for (std::size_t k = 0; k < dfacts.size(); ++k) {
+    box.lo[k] = lo_full[dfacts[k]];
+    box.hi[k] = hi_full[dfacts[k]];
+    box.nominal[k] = sys.branch(dfacts[k]).reactance;
+  }
+  return box;
+}
+
 ReactanceOpfResult solve_reactance_opf(const grid::PowerSystem& sys,
                                        stats::Rng& rng,
                                        const ReactanceOpfOptions& options) {
@@ -27,14 +41,7 @@ ReactanceOpfResult solve_reactance_opf(const grid::PowerSystem& sys,
     return result;
   }
 
-  const linalg::Vector lo_full = sys.reactance_lower_limits();
-  const linalg::Vector hi_full = sys.reactance_upper_limits();
-  linalg::Vector lo(dfacts.size()), hi(dfacts.size()), x0(dfacts.size());
-  for (std::size_t k = 0; k < dfacts.size(); ++k) {
-    lo[k] = lo_full[dfacts[k]];
-    hi[k] = hi_full[dfacts[k]];
-    x0[k] = sys.branch(dfacts[k]).reactance;
-  }
+  const auto [lo, hi, x0] = dfacts_box(sys);
 
   constexpr double kInfeasiblePenalty = 1e12;
   const auto objective = [&](const linalg::Vector& dfacts_x) {

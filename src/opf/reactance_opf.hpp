@@ -30,6 +30,18 @@ ReactanceOpfResult solve_reactance_opf(const grid::PowerSystem& sys,
                                        stats::Rng& rng,
                                        const ReactanceOpfOptions& options = {});
 
+/// The D-FACTS search box, one entry per D-FACTS branch in
+/// `dfacts_branches()` order (the inverse of `expand_dfacts_reactances`).
+struct DfactsBox {
+  linalg::Vector lo;       ///< lower reactance limits
+  linalg::Vector hi;       ///< upper reactance limits
+  linalg::Vector nominal;  ///< nominal reactances
+};
+
+/// The D-FACTS search box of `sys`: each device's limits and its nominal
+/// reactance.
+DfactsBox dfacts_box(const grid::PowerSystem& sys);
+
 /// Expands a vector of D-FACTS-branch reactances (one entry per D-FACTS
 /// branch, in `dfacts_branches()` order) into a full length-L reactance
 /// vector, keeping non-D-FACTS branches at their nominal values.

@@ -15,8 +15,10 @@
 #include "core/thread_pool.hpp"
 #include "grid/cases.hpp"
 #include "grid/load_trace.hpp"
+#include "io/case_registry.hpp"
 #include "obs/metrics.hpp"
 #include "obs/scope.hpp"
+#include "serve/daemon.hpp"
 
 namespace mtdgrid::attack {
 namespace {
@@ -126,6 +128,20 @@ TEST(CampaignDeterminismTest, SharedEngineLeaksNoStateBetweenSchedules) {
   ASSERT_EQ(both.cells.size(), 12u);
   both.cells.resize(alone.cells.size());
   EXPECT_EQ(to_json(both), to_json(alone));
+}
+
+TEST(CampaignDeterminismTest, NameOverloadFacesTheDaemonDefaultTrace) {
+  // A campaign and a daemon on the same case face the same defender: the
+  // case-name overload replays serve::default_daemon_trace.
+  CampaignFrontier by_name = run_campaign("case14", fast_options());
+  const grid::PowerSystem sys = io::load_case("case14");
+  CampaignFrontier explicit_trace =
+      run_campaign(sys, serve::default_daemon_trace(sys), fast_options());
+  // case14.m names itself "ieee14"; only the name overload reports the
+  // registry name.
+  by_name.case_name = explicit_trace.case_name = "case14";
+  ASSERT_EQ(by_name.cells.size(), 12u);
+  EXPECT_EQ(to_json(by_name), to_json(explicit_trace));
 }
 
 }  // namespace

@@ -52,8 +52,6 @@ TEST(MetricsTest, FixedCountersAddValueResetSnapshot) {
   const WorkSnapshot snap = reg.work_snapshot();
   EXPECT_EQ(snap[static_cast<std::size_t>(Work::kCgIterations)], 42u);
   EXPECT_EQ(snap[static_cast<std::size_t>(Work::kMcTrials)], 0u);
-  reg.reset_work();
-  EXPECT_EQ(reg.value(Work::kCgIterations), 0u);
 }
 
 TEST(MetricsTest, ScopedRegistryRedirectsAdds) {
@@ -80,46 +78,6 @@ TEST(MetricsTest, ScopedRegistryRestoresOnNesting) {
   add(Work::kEngineHours);
   EXPECT_EQ(inner.value(Work::kEngineHours), 1u);
   EXPECT_EQ(outer.value(Work::kEngineHours), 1u);
-}
-
-TEST(MetricsTest, DynamicSeriesRegisterOnceAndSnapshot) {
-  MetricsRegistry reg;
-  Counter& c1 = reg.counter("reqs", "requests");
-  Counter& c2 = reg.counter("reqs", "ignored duplicate help");
-  EXPECT_EQ(&c1, &c2);
-  c1.add(5);
-  Gauge& g = reg.gauge("hour", "current hour");
-  g.set(12.0);
-  g.add(1.0);
-  Histogram& h = reg.histogram("lat", "latency", {1.0, 10.0});
-  h.observe(0.5);
-  h.observe(10.0);   // exactly on a bound: that bound's bucket
-  h.observe(100.0);  // overflow
-  const MetricsSnapshot snap = reg.snapshot();
-  ASSERT_EQ(snap.counters.size(), 1u);
-  EXPECT_EQ(snap.counters[0].name, "reqs");
-  EXPECT_EQ(snap.counters[0].help, "requests");
-  EXPECT_EQ(snap.counters[0].value, 5u);
-  ASSERT_EQ(snap.gauges.size(), 1u);
-  EXPECT_DOUBLE_EQ(snap.gauges[0].value, 13.0);
-  ASSERT_EQ(snap.histograms.size(), 1u);
-  const HistogramSample& hs = snap.histograms[0];
-  ASSERT_EQ(hs.buckets.size(), 3u);
-  EXPECT_EQ(hs.buckets[0], 1u);
-  EXPECT_EQ(hs.buckets[1], 1u);
-  EXPECT_EQ(hs.buckets[2], 1u);
-  EXPECT_EQ(hs.count, 3u);
-  EXPECT_DOUBLE_EQ(hs.sum, 110.5);
-}
-
-TEST(MetricsTest, HistogramBoundaryIsInclusive) {
-  Histogram h("h", "", {100.0, 1000.0});
-  h.observe(100.0);
-  h.observe(100.0000001);
-  const auto buckets = h.bucket_counts();
-  EXPECT_EQ(buckets[0], 1u);  // exactly on the bound
-  EXPECT_EQ(buckets[1], 1u);  // just past it
-  EXPECT_EQ(buckets[2], 0u);
 }
 
 TEST(MetricsTest, PrometheusExpositionGrammarAndCumulativeBuckets) {

@@ -16,7 +16,7 @@ namespace {
 TEST(TraceTest, SpanRecordsIntoActiveCapture) {
   SpanCapture capture;
   {
-    ScopedCapture scope(&capture);
+    ScopedContext scope({nullptr, &capture});
     Span outer("outer", "test");
     { Span inner("inner", "test"); }
   }
@@ -64,7 +64,7 @@ TEST(TraceTest, CaptureAndGlobalTracerBothReceiveSpans) {
   Tracer::global().set_enabled(true);
   SpanCapture capture;
   {
-    ScopedCapture scope(&capture);
+    ScopedContext scope({nullptr, &capture});
     Span span("both", "test");
   }
   Tracer::global().set_enabled(false);
